@@ -23,9 +23,14 @@
 //!   be deterministic, and turning tracing ON must not add a single
 //!   allocation (rings are preallocated; context rides in the frame).
 //!
-//! The tests share `SERIAL` so their measured regions never overlap — the
-//! harness runs tests on multiple threads, and a sibling's setup
-//! allocations would otherwise pollute the counter deltas.
+//! The counter is process-wide, so nothing else may allocate while a
+//! region is measured. The file therefore runs without libtest
+//! (`harness = false`): [`main`] runs the checks one after another on the
+//! main thread. Under libtest's parallel runner, the runner's own
+//! threads spawn the next test and report the last one concurrently
+//! with a measured region, and their allocations land in the same
+//! counter. Every thread a check starts (servers, mux connections) is
+//! joined before the check returns.
 
 use cca_core::{CcaServices, PortHandle};
 use cca_data::TypeMap;
@@ -34,9 +39,7 @@ use cca_rpc::{MuxServer, MuxServerConfig, MuxTransport, ObjRef, Orb, TcpServer, 
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-static SERIAL: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -97,9 +100,7 @@ fn wire_fanout(n: usize) -> Arc<CcaServices> {
     user
 }
 
-#[test]
 fn fanout_multicast_allocates_nothing_per_call() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let user = wire_fanout(8);
 
     // Warm-up pass outside the measured region (first call may touch lazy
@@ -124,9 +125,7 @@ fn fanout_multicast_allocates_nothing_per_call() {
     );
 }
 
-#[test]
 fn cached_port_get_allocates_nothing_in_steady_state() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let user = wire_fanout(1);
     let mut cached = user.cached_port::<dyn EventPort>("events");
     cached.get().unwrap().notify(1); // first get resolves (may allocate)
@@ -142,9 +141,7 @@ fn cached_port_get_allocates_nothing_in_steady_state() {
     );
 }
 
-#[test]
 fn counters_on_cached_record_path_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let user = wire_fanout(1);
     let mut cached = user.cached_port::<dyn EventPort>("events");
     cca_obs::set_counters(true);
@@ -168,9 +165,7 @@ fn counters_on_cached_record_path_allocates_nothing() {
     assert_eq!(counted, 1000, "every call must be counted");
 }
 
-#[test]
 fn tracing_off_span_guard_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     cca_obs::set_tracing(false);
     drop(cca_obs::span("alloc.warmup"));
 
@@ -185,9 +180,7 @@ fn tracing_off_span_guard_allocates_nothing() {
     );
 }
 
-#[test]
 fn tracing_off_remote_plumbing_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     cca_obs::set_tracing(false);
     drop(cca_obs::span("alloc.warmup"));
 
@@ -264,9 +257,7 @@ fn assert_trace_plumbing_adds_no_allocations(label: &str, objref: &ObjRef) {
     );
 }
 
-#[test]
 fn remote_call_trace_plumbing_adds_no_allocations_pooled() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let orb = Orb::new();
     orb.register("doubler", Arc::new(Doubler));
     let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
@@ -279,9 +270,7 @@ fn remote_call_trace_plumbing_adds_no_allocations_pooled() {
     server.shutdown();
 }
 
-#[test]
 fn remote_call_trace_plumbing_adds_no_allocations_mux() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let orb = Orb::new();
     orb.register("doubler", Arc::new(Doubler));
     // One dispatch worker: the server-side ring warm-up is deterministic.
@@ -301,11 +290,9 @@ fn remote_call_trace_plumbing_adds_no_allocations_mux() {
     server.shutdown();
 }
 
-#[test]
 fn steady_state_redistribution_allocates_nothing() {
     use cca_data::{DistArrayDesc, Distribution, RedistPlan};
 
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A 4-rank → 3-rank block recoupling: every timestep re-runs the same
     // compiled plan over the same buffers.
     let src_desc = DistArrayDesc::new(&[96], Distribution::block_1d(4, 1).unwrap()).unwrap();
@@ -348,9 +335,7 @@ fn steady_state_redistribution_allocates_nothing() {
     );
 }
 
-#[test]
 fn uncached_get_port_as_success_path_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let user = wire_fanout(1);
     let _warm: Arc<dyn EventPort> = user.get_port_as("events").unwrap();
 
@@ -364,4 +349,38 @@ fn uncached_get_port_as_success_path_allocates_nothing() {
         delta, 0,
         "get_port_as success path must be allocation-free ({delta} allocations over 1000 calls)"
     );
+}
+
+/// Runs every check in order on the main thread and exits non-zero if any
+/// fails. Harness arguments are ignored.
+fn main() {
+    macro_rules! checks {
+        ($($check:ident),* $(,)?) => {
+            [$((stringify!($check), $check as fn())),*]
+        };
+    }
+    let checks = checks![
+        fanout_multicast_allocates_nothing_per_call,
+        cached_port_get_allocates_nothing_in_steady_state,
+        counters_on_cached_record_path_allocates_nothing,
+        tracing_off_span_guard_allocates_nothing,
+        tracing_off_remote_plumbing_allocates_nothing,
+        remote_call_trace_plumbing_adds_no_allocations_pooled,
+        remote_call_trace_plumbing_adds_no_allocations_mux,
+        steady_state_redistribution_allocates_nothing,
+        uncached_get_port_as_success_path_allocates_nothing,
+    ];
+    let mut failed = 0;
+    for (name, check) in checks {
+        let ok = std::panic::catch_unwind(check).is_ok();
+        println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+        failed += usize::from(!ok);
+    }
+    println!(
+        "alloc_free: {} passed; {failed} failed",
+        checks.len() - failed
+    );
+    if failed > 0 {
+        std::process::exit(1);
+    }
 }

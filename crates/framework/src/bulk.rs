@@ -638,7 +638,10 @@ mod tests {
     fn compiled_4_to_3(n: usize) -> Arc<CompiledPlan> {
         let src = block_desc(n, 4);
         let dst = block_desc(n, 3);
-        let plan = RedistPlan::build(&src, &dst).unwrap();
+        let plan = {
+            let _plans = crate::plan_builds_lock();
+            RedistPlan::build(&src, &dst).unwrap()
+        };
         Arc::new(plan.compile().unwrap())
     }
 

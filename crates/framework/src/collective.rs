@@ -372,6 +372,7 @@ mod tests {
 
     #[test]
     fn matched_4_to_4_is_fully_local() {
+        let _plans = crate::plan_builds_lock();
         let src = block_desc(16, 4);
         let dst = block_desc(16, 4);
         let port = MxNPort::new(&src, &dst, vec![0, 1, 2, 3], vec![0, 1, 2, 3], 50).unwrap();
@@ -386,6 +387,7 @@ mod tests {
 
     #[test]
     fn parallel_to_serial_gather_semantics() {
+        let _plans = crate::plan_builds_lock();
         // 4-rank simulation feeding a serial visualizer on world rank 4.
         let src = block_desc(12, 4);
         let dst = block_desc(12, 1);
@@ -407,6 +409,7 @@ mod tests {
 
     #[test]
     fn serial_to_parallel_scatter_semantics() {
+        let _plans = crate::plan_builds_lock();
         let src = block_desc(10, 1);
         let dst = block_desc(10, 3);
         let port = MxNPort::new(&src, &dst, vec![0], vec![1, 2, 3], 52).unwrap();
@@ -425,6 +428,7 @@ mod tests {
 
     #[test]
     fn arbitrary_4_to_3_block_to_cyclic() {
+        let _plans = crate::plan_builds_lock();
         // The paper's "differently distributed visualization" case: 4-way
         // block simulation, 3-way cyclic consumer, overlapping world ranks.
         let src = block_desc(17, 4);
@@ -447,6 +451,7 @@ mod tests {
 
     #[test]
     fn repeated_timesteps_keep_matching() {
+        let _plans = crate::plan_builds_lock();
         // FIFO per (sender, tag) must keep successive timesteps separate.
         let src = block_desc(8, 2);
         let dst = block_desc(8, 2);
@@ -470,6 +475,7 @@ mod tests {
 
     #[test]
     fn validation_errors() {
+        let _plans = crate::plan_builds_lock();
         let src = block_desc(8, 2);
         let dst = block_desc(8, 2);
         // Wrong mapping lengths.
@@ -495,6 +501,7 @@ mod tests {
 
     #[test]
     fn plan_cache_builds_once_and_shares() {
+        let _plans = crate::plan_builds_lock();
         let cache = PlanCache::new();
         let src = block_desc(16, 4);
         let dst = cyclic_desc(16, 3);
@@ -519,6 +526,7 @@ mod tests {
 
     #[test]
     fn cached_port_timesteps_never_rebuild_after_first() {
+        let _plans = crate::plan_builds_lock();
         // The acceptance criterion: reconnecting the same coupling each
         // "timestep" must not re-run RedistPlan::build after step 0.
         let cache = PlanCache::new();
@@ -541,6 +549,7 @@ mod tests {
 
     #[test]
     fn cache_propagates_build_errors_without_poisoning() {
+        let _plans = crate::plan_builds_lock();
         let cache = PlanCache::new();
         let src = block_desc(8, 2);
         let bad = block_desc(9, 2);
@@ -554,6 +563,7 @@ mod tests {
 
     #[test]
     fn transfer_local_matches_spmd_result() {
+        let _plans = crate::plan_builds_lock();
         let src = block_desc(10, 2);
         let dst = cyclic_desc(10, 2);
         let port = MxNPort::new(&src, &dst, vec![0, 1], vec![0, 1], 56).unwrap();

@@ -8,16 +8,17 @@
 //! results (a [`cca_repository::QueryCursor`] rides the wire as an
 //! opaque string), and the catalog's scale statistics, all through
 //! dynamic invocation over the same `tcp`/`tcp+mux` transports the
-//! components themselves use. [`Framework::install_discovery`] mirrors
-//! [`Framework::install_observability`]: deposit the SIDL, add the
-//! component instance, export the port under [`DISCOVERY_EXPORT_KEY`],
-//! and the next `serve_tcp`/`serve_tcp_mux` call makes the catalog
-//! remotely searchable.
+//! components themselves use. [`Framework::install_discovery`] takes the
+//! same path as [`Framework::install_monitor`]: deposit the service-port
+//! SIDL, add the component instance, export the generated skeleton under
+//! [`DISCOVERY_EXPORT_KEY`], and the next `serve_tcp`/`serve_tcp_mux`
+//! call makes the catalog remotely searchable.
 
 use crate::framework::Framework;
-use cca_core::{CcaError, CcaServices, Component};
+use crate::service::{DiscoveryPort, DiscoveryPortSkel, ServicePort};
+use cca_core::CcaError;
 use cca_repository::{FuzzyQuery, QueryCursor, QueryPage, Repository};
-use cca_sidl::{DynObject, DynValue, SidlError};
+use cca_sidl::SidlError;
 use std::sync::Arc;
 
 /// The SIDL type of the discovery port.
@@ -31,31 +32,12 @@ pub const DISCOVERY_INSTANCE: &str = "cca-discovery";
 /// `ObjRef::new(DISCOVERY_EXPORT_KEY, transport)`.
 pub const DISCOVERY_EXPORT_KEY: &str = "cca-discovery/discovery";
 
-/// SIDL declaration of the discovery interface, deposited into the
-/// repository by [`Framework::install_discovery`] so reflective callers
-/// can `invoke_checked` against real metadata.
-pub const DISCOVERY_SIDL: &str = "
-package cca.ports {
-    // Remote repository search: exact lookup, fuzzy discovery with
-    // scored paged results, and catalog statistics.
-    interface DiscoveryPort {
-        // Number of registered component classes.
-        long componentCount();
-        // {\"found\":…,\"class\":…,\"description\":…,\"provides\":[…],
-        //  \"uses\":[…]} — exact class lookup.
-        string lookupJson(in string className);
-        // {\"hits\":[{\"class\":…,\"score\":…}…],\"matched\":…,
-        //  \"cursor\":…} — first page of a fuzzy query.
-        string searchJson(in string needle, in long limit);
-        // Continuation: same shape, resumed after an opaque cursor from
-        // a previous page.
-        string pageJson(in string needle, in long limit, in string cursor);
-        // {\"components\":…,\"shards\":…,\"generations\":[…],
-        //  \"counters\":{…}} — catalog scale statistics.
-        string statsJson();
-    }
-}
-";
+const SERVICE: ServicePort = ServicePort {
+    instance: DISCOVERY_INSTANCE,
+    class: "cca.DiscoveryComponent",
+    port: "discovery",
+    port_type: DISCOVERY_PORT_TYPE,
+};
 
 fn js(s: &str) -> String {
     cca_obs::trace::escape_json(s)
@@ -81,20 +63,28 @@ fn page_json(page: &QueryPage) -> String {
 
 /// The discovery port object. Holds the repository directly (not the
 /// framework): the catalog outliving its framework is fine, and lookup
-/// traffic never touches instance state.
-pub struct DiscoveryPort {
+/// traffic never touches instance state. In-process callers use its
+/// [`DiscoveryPort`] methods; the framework serves the same object
+/// through [`DiscoveryPortSkel`].
+#[derive(Clone)]
+pub struct Discovery {
     repository: Arc<Repository>,
 }
 
-impl DiscoveryPort {
+impl Discovery {
     /// Creates a discovery port over `repository`.
-    pub fn new(repository: Arc<Repository>) -> Arc<Self> {
-        Arc::new(DiscoveryPort { repository })
+    pub fn new(repository: Arc<Repository>) -> Self {
+        Discovery { repository }
+    }
+}
+
+impl DiscoveryPort for Discovery {
+    fn componentCount(&self) -> Result<i64, SidlError> {
+        Ok(self.repository.len() as i64)
     }
 
-    /// Exact class lookup as self-describing JSON.
-    pub fn lookup_json(&self, class: &str) -> String {
-        match self.repository.entry(class) {
+    fn lookupJson(&self, class: &str) -> Result<String, SidlError> {
+        Ok(match self.repository.entry(class) {
             Ok(e) => {
                 let ports = |specs: &[cca_repository::PortSpec]| {
                     specs
@@ -119,140 +109,70 @@ impl DiscoveryPort {
                 )
             }
             Err(_) => format!("{{\"found\":false,\"class\":\"{}\"}}", js(class)),
-        }
+        })
     }
 
-    /// First page of a fuzzy query.
-    pub fn search_json(&self, needle: &str, limit: usize) -> String {
-        page_json(
-            &self
-                .repository
-                .fuzzy(&FuzzyQuery::new(needle).with_limit(limit)),
-        )
+    fn searchJson(&self, needle: &str, limit: i64) -> Result<String, SidlError> {
+        let query = FuzzyQuery::new(needle).with_limit(limit.max(1) as usize);
+        Ok(page_json(&self.repository.fuzzy(&query)))
     }
 
-    /// Continuation page: `cursor` is the opaque string a previous page
-    /// returned. Junk cursors error rather than silently restarting the
-    /// walk from the top.
-    pub fn page_json(&self, needle: &str, limit: usize, cursor: &str) -> Result<String, SidlError> {
+    /// Junk cursors error rather than silently restarting the walk from
+    /// the top.
+    fn pageJson(&self, needle: &str, limit: i64, cursor: &str) -> Result<String, SidlError> {
         let cursor = QueryCursor::parse(cursor)
             .ok_or_else(|| SidlError::invoke(format!("unparseable query cursor '{cursor}'")))?;
-        Ok(page_json(&self.repository.fuzzy(
-            &FuzzyQuery::new(needle).with_limit(limit).after(cursor),
-        )))
+        let query = FuzzyQuery::new(needle)
+            .with_limit(limit.max(1) as usize)
+            .after(cursor);
+        Ok(page_json(&self.repository.fuzzy(&query)))
     }
 
-    /// Catalog scale statistics: entry count, shard layout, per-shard
-    /// publication generations, and the global repository counters.
-    pub fn stats_json(&self) -> String {
+    /// Entry count, shard layout, per-shard publication generations, and
+    /// the global repository counters.
+    fn statsJson(&self) -> Result<String, SidlError> {
         let generations: Vec<String> = self
             .repository
             .generations()
             .iter()
             .map(u64::to_string)
             .collect();
-        format!(
+        Ok(format!(
             "{{\"components\":{},\"shards\":{},\"generations\":[{}],\"counters\":{}}}",
             self.repository.len(),
             self.repository.shard_count(),
             generations.join(","),
             cca_obs::repo().snapshot().to_json()
-        )
-    }
-}
-
-impl DynObject for DiscoveryPort {
-    fn sidl_type(&self) -> &str {
-        DISCOVERY_PORT_TYPE
-    }
-
-    fn invoke(&self, method: &str, args: Vec<DynValue>) -> Result<DynValue, SidlError> {
-        let arg = |i: usize, what: &str| {
-            args.get(i)
-                .ok_or_else(|| SidlError::invoke(format!("{method} needs ({what})")))
-        };
-        match method {
-            "componentCount" => Ok(DynValue::Long(self.repository.len() as i64)),
-            "lookupJson" => Ok(DynValue::Str(
-                self.lookup_json(arg(0, "className")?.as_str()?),
-            )),
-            "searchJson" => {
-                let needle = arg(0, "needle, limit")?.as_str()?.to_string();
-                let limit = arg(1, "needle, limit")?.as_long()?.max(1) as usize;
-                Ok(DynValue::Str(self.search_json(&needle, limit)))
-            }
-            "pageJson" => {
-                let needle = arg(0, "needle, limit, cursor")?.as_str()?.to_string();
-                let limit = arg(1, "needle, limit, cursor")?.as_long()?.max(1) as usize;
-                let cursor = arg(2, "needle, limit, cursor")?.as_str()?.to_string();
-                Ok(DynValue::Str(self.page_json(&needle, limit, &cursor)?))
-            }
-            "statsJson" => Ok(DynValue::Str(self.stats_json())),
-            other => Err(SidlError::invoke(format!(
-                "{DISCOVERY_PORT_TYPE} has no method '{other}'"
-            ))),
-        }
-    }
-}
-
-/// The component wrapper providing the discovery port (instance name
-/// [`DISCOVERY_INSTANCE`], port name `"discovery"`).
-pub struct DiscoveryComponent {
-    port: Arc<DiscoveryPort>,
-}
-
-impl Component for DiscoveryComponent {
-    fn component_type(&self) -> &str {
-        "cca.DiscoveryComponent"
-    }
-
-    fn set_services(&self, services: Arc<CcaServices>) -> Result<(), CcaError> {
-        let dynamic: Arc<dyn DynObject> = Arc::clone(&self.port) as Arc<dyn DynObject>;
-        services.add_provides_port(
-            cca_core::PortHandle::new("discovery", DISCOVERY_PORT_TYPE, Arc::clone(&dynamic))
-                .with_dynamic(dynamic),
-        )
+        ))
     }
 }
 
 impl Framework {
-    /// Installs the discovery plane: deposits [`DISCOVERY_SIDL`] into the
-    /// repository (idempotently), adds a [`DiscoveryComponent`] instance
-    /// named [`DISCOVERY_INSTANCE`], and exports its port under
+    /// Installs the discovery plane: deposits the service-port SIDL into
+    /// the repository (idempotently), adds an instance named
+    /// [`DISCOVERY_INSTANCE`] serving a [`Discovery`] through the
+    /// generated skeleton, and exports its port under
     /// [`DISCOVERY_EXPORT_KEY`] so the next
     /// [`serve_tcp`](Framework::serve_tcp) /
     /// [`serve_tcp_mux`](Framework::serve_tcp_mux) call makes the catalog
     /// remotely searchable.
     ///
     /// Returns the port object for in-process callers.
-    pub fn install_discovery(self: &Arc<Self>) -> Result<Arc<DiscoveryPort>, CcaError> {
-        let known = self
-            .repository()
-            .with_catalog(|c| c.reflection().type_info(DISCOVERY_PORT_TYPE).is_some());
-        if !known {
-            self.repository()
-                .deposit_sidl(DISCOVERY_SIDL)
-                .map_err(|e| CcaError::Framework(format!("discovery SIDL rejected: {e}")))?;
-        }
-        let port = DiscoveryPort::new(Arc::clone(self.repository()));
-        self.add_instance(
-            DISCOVERY_INSTANCE,
-            Arc::new(DiscoveryComponent {
-                port: Arc::clone(&port),
-            }),
-        )?;
-        let key = self.export_port(DISCOVERY_INSTANCE, "discovery")?;
-        debug_assert_eq!(key, DISCOVERY_EXPORT_KEY);
-        Ok(port)
+    pub fn install_discovery(self: &Arc<Self>) -> Result<Discovery, CcaError> {
+        let discovery = Discovery::new(Arc::clone(self.repository()));
+        self.install_service_port(SERVICE, Arc::new(DiscoveryPortSkel(discovery.clone())))?;
+        Ok(discovery)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::CCA_PORTS_SIDL;
+    use cca_core::{CcaServices, Component};
     use cca_data::TypeMap;
     use cca_repository::{ComponentEntry, PortSpec};
-    use cca_sidl::{compile, invoke_checked, Reflection};
+    use cca_sidl::{compile, invoke_checked, DynObject, DynValue, Reflection};
 
     struct Nop;
     impl Component for Nop {
@@ -286,6 +206,15 @@ mod tests {
         Framework::new(repo)
     }
 
+    fn served(fw: &Arc<Framework>) -> Arc<dyn DynObject> {
+        let handle = fw
+            .services(DISCOVERY_INSTANCE)
+            .unwrap()
+            .get_provides_port("discovery")
+            .unwrap();
+        Arc::clone(handle.dynamic().unwrap())
+    }
+
     #[test]
     fn install_registers_exports_and_answers() {
         let fw = fw_with_catalog();
@@ -296,12 +225,14 @@ mod tests {
             fw.install_discovery(),
             Err(CcaError::ComponentAlreadyExists(_))
         ));
-        let found = disc.lookup_json("esi.KrylovCg");
+        // The monitor shares the deposited package: no second deposit.
+        fw.install_monitor().unwrap();
+        let found = disc.lookupJson("esi.KrylovCg").unwrap();
         assert!(found.contains("\"found\":true"), "{found}");
         assert!(found.contains("\"esi.Solver\""), "{found}");
-        let missing = disc.lookup_json("esi.Missing");
+        let missing = disc.lookupJson("esi.Missing").unwrap();
         assert!(missing.contains("\"found\":false"), "{missing}");
-        let stats = disc.stats_json();
+        let stats = disc.statsJson().unwrap();
         assert!(stats.contains("\"components\":3"), "{stats}");
         assert!(stats.contains("\"counters\":{\"deposits\""), "{stats}");
     }
@@ -310,17 +241,12 @@ mod tests {
     fn search_and_paging_over_dynamic_invocation() {
         let fw = fw_with_catalog();
         fw.install_discovery().unwrap();
-        let handle = fw
-            .services(DISCOVERY_INSTANCE)
-            .unwrap()
-            .get_provides_port("discovery")
-            .unwrap();
-        let target = handle.dynamic().unwrap();
-        let reflection = Reflection::from_model(&compile(DISCOVERY_SIDL).unwrap());
+        let target = served(&fw);
+        let reflection = Reflection::from_model(&compile(CCA_PORTS_SIDL).unwrap());
         let info = reflection.type_info(DISCOVERY_PORT_TYPE).unwrap();
 
         let r = invoke_checked(
-            &**target,
+            &*target,
             info.method("searchJson").unwrap(),
             vec![DynValue::Str("krylov".into()), DynValue::Long(1)],
         )
@@ -336,7 +262,7 @@ mod tests {
             .expect("first page leaves a cursor")
             .to_string();
         let r = invoke_checked(
-            &**target,
+            &*target,
             info.method("pageJson").unwrap(),
             vec![
                 DynValue::Str("krylov".into()),
@@ -349,20 +275,30 @@ mod tests {
         assert!(second.contains("\"esi.KrylovGmres\""), "{second}");
         assert!(second.contains("\"cursor\":null"), "{second}");
 
-        let r = invoke_checked(&**target, info.method("componentCount").unwrap(), vec![]).unwrap();
+        let r = invoke_checked(&*target, info.method("componentCount").unwrap(), vec![]).unwrap();
         assert_eq!(r.as_long().unwrap(), 3);
     }
 
     #[test]
     fn unknown_method_bad_args_and_junk_cursor_error() {
         let fw = fw_with_catalog();
-        let disc = fw.install_discovery().unwrap();
-        assert!(disc.invoke("selfDestruct", vec![]).is_err());
-        assert!(disc.invoke("lookupJson", vec![]).is_err());
-        assert!(disc
+        fw.install_discovery().unwrap();
+        let target = served(&fw);
+        assert!(target.invoke("selfDestruct", vec![]).is_err());
+        assert!(target.invoke("lookupJson", vec![]).is_err());
+        assert!(target
+            .invoke("lookupJson", vec![DynValue::Long(1)])
+            .is_err());
+        assert!(target
             .invoke("searchJson", vec![DynValue::Str("x".into())])
             .is_err());
-        assert!(disc
+        assert!(target
+            .invoke(
+                "searchJson",
+                vec![DynValue::Str("x".into()), DynValue::Str("1".into())]
+            )
+            .is_err());
+        assert!(target
             .invoke(
                 "pageJson",
                 vec![

@@ -24,14 +24,19 @@
 //!   between differently-distributed parallel components, executed over
 //!   `cca-parallel` communicators or in-memory for same-address-space
 //!   connections.
-//! * [`observability`] — the remote scrape plane: a reflective
-//!   `ObservabilityPort` exposing the trace ring, flight-recorder
-//!   inventory, and resilience counters over the same wire transports the
-//!   components use.
+//! * [`service`] — the framework's own service ports, declared once in
+//!   `sidl/cca_ports.sidl`. The build script generates their traits and
+//!   `DynObject` skeletons with the crate's own SIDL compiler; each port
+//!   object implements its trait and is served through its skeleton.
+//! * [`monitor`] — the reflective `MonitorPort`: live-assembly
+//!   introspection (instances, connection graph, per-port metrics) and
+//!   the remote scrape plane (trace ring, flight-recorder inventory,
+//!   resilience, repository and fleet counters) in one port, exported
+//!   over the same wire transports the components use.
 //! * [`discovery`] — the remote discovery plane: the sharded repository's
 //!   search API (exact lookup, trigram fuzzy search with paged results,
 //!   catalog statistics) as a reflective `DiscoveryPort` other frameworks
-//!   dial over the wire (PR 10).
+//!   dial over the wire.
 //! * [`bulk`] — the bulk data plane's endpoints: [`BulkRedistSender`]
 //!   streams a compiled M×N plan as raw slabs over any transport, and
 //!   [`BulkLandingZone`] scatters them into destination storage with
@@ -50,16 +55,13 @@ pub mod event;
 pub mod fleet;
 pub mod framework;
 pub mod monitor;
-pub mod observability;
 pub mod script;
+pub mod service;
 
 pub use bulk::{BulkLandingZone, BulkRedistSender};
 pub use collective::{MxNPort, PlanCache};
 pub use connect::{ConnectionInfo, ConnectionPolicy, RemoteTransportKind};
-pub use discovery::{
-    DiscoveryComponent, DiscoveryPort, DISCOVERY_EXPORT_KEY, DISCOVERY_INSTANCE,
-    DISCOVERY_PORT_TYPE, DISCOVERY_SIDL,
-};
+pub use discovery::{Discovery, DISCOVERY_EXPORT_KEY, DISCOVERY_INSTANCE, DISCOVERY_PORT_TYPE};
 pub use event::{EventListener, EventService, SubscriptionId};
 pub use fleet::{
     fleet_rank_env, rank_backoff_seed, ExecLauncher, FleetConfig, FleetEvent, FleetHub,
@@ -67,11 +69,15 @@ pub use fleet::{
     RankLauncher, RestartBackoff,
 };
 pub use framework::Framework;
-pub use monitor::{
-    MonitorComponent, MonitorPort, MONITOR_INSTANCE, MONITOR_PORT_TYPE, MONITOR_SIDL,
-};
-pub use observability::{
-    ObservabilityComponent, ObservabilityPort, OBSERVABILITY_EXPORT_KEY, OBSERVABILITY_INSTANCE,
-    OBSERVABILITY_PORT_TYPE, OBSERVABILITY_SIDL,
-};
+pub use monitor::{Monitor, MONITOR_EXPORT_KEY, MONITOR_INSTANCE, MONITOR_PORT_TYPE};
 pub use script::{parse_script, Command};
+pub use service::{DiscoveryPort, DiscoveryPortSkel, MonitorPort, MonitorPortSkel, CCA_PORTS_SIDL};
+
+/// Serializes the unit tests that build redistribution plans: two of them
+/// count builds through the process-global `RedistPlan::build_count`, so
+/// a sibling test building concurrently would be miscounted.
+#[cfg(test)]
+pub(crate) fn plan_builds_lock() -> std::sync::MutexGuard<'static, ()> {
+    static PLAN_BUILDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    PLAN_BUILDS.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -1,22 +1,26 @@
-//! The reflective `MonitorPort` — Fig. 2's builder-style introspection as
-//! an ordinary CCA port.
+//! The reflective `MonitorPort`: Fig. 2's builder-style introspection and
+//! the remote scrape plane as one ordinary CCA port.
 //!
 //! §5 motivates SIDL reflection with exactly this use: "components and the
 //! associated composition tools and frameworks must discover, query, and
-//! execute methods at run time." The monitor is that story closed end to
-//! end: the framework installs a component whose provides port is reachable
-//! **only** through the dynamic-invocation machinery (`cca_sidl::DynObject`
-//! plus [`MONITOR_SIDL`] reflection metadata), and through it any tool —
-//! a GUI builder, a remote proxy via the ORB, a script — can ask the live
-//! assembly for its instance list, connection graph, per-port metrics, and
-//! trace buffers without compile-time knowledge of this crate.
+//! execute methods at run time." [`Framework::install_monitor`] adds a
+//! component whose provides port is the generated [`MonitorPortSkel`]
+//! around a [`Monitor`], deposits the port's SIDL, and exports the port
+//! under [`MONITOR_EXPORT_KEY`]. Through it any tool (a GUI builder, a
+//! remote collector over the ORB wire, a script) can ask the live
+//! assembly about its *structure* (instances, connection graph, per-port
+//! metrics) and its *behaviour* (the trace ring, read without consuming
+//! it, the flight-recorder inventory, resilience, repository and fleet
+//! counters, and the tracing gate itself) without compile-time knowledge
+//! of this crate.
 //!
 //! `examples/monitoring.rs` drives the whole surface via
 //! `cca_sidl::invoke_checked` only, as a composition tool would.
 
 use crate::framework::Framework;
-use cca_core::{CcaError, CcaServices, Component};
-use cca_sidl::{DynObject, DynValue, SidlError};
+use crate::service::{MonitorPort, MonitorPortSkel, ServicePort};
+use cca_core::CcaError;
+use cca_sidl::SidlError;
 use std::sync::{Arc, Weak};
 
 /// The SIDL type of the monitor's provides port.
@@ -25,54 +29,38 @@ pub const MONITOR_PORT_TYPE: &str = "cca.ports.MonitorPort";
 /// Default instance name [`Framework::install_monitor`] registers under.
 pub const MONITOR_INSTANCE: &str = "cca-monitor";
 
-/// SIDL declaration of the monitor interface. Deposited into the
-/// repository by [`Framework::install_monitor`] so reflective callers can
-/// `invoke_checked` against real metadata.
-pub const MONITOR_SIDL: &str = "
-package cca.ports {
-    // Live-assembly introspection: every method returns JSON so callers
-    // need nothing beyond the dynamic-invocation machinery.
-    interface MonitorPort {
-        // [{\"name\":…,\"class\":…}] for every live instance.
-        string instances();
-        // {\"instances\":[…],\"connections\":[…]} — the live wiring graph.
-        string connectionGraph();
-        // {instance: [{\"port\":…,\"kind\":…,\"metrics\":{…}}]} for all ports.
-        string metricsJson();
-        // Total observed invocations of one port of one instance.
-        long callCount(in string instance, in string port);
-        // Live subscription count of the framework event service.
-        long eventSubscriptions();
-        // Flip the per-port counter gate at runtime.
-        void setCounters(in bool on);
-        // Flip the span/event tracer at runtime.
-        void setTracing(in bool on);
-        // Drain buffered trace events: format is \"jsonl\" or \"chrome\".
-        string drainTrace(in string format);
-        // {\"counters\":{…},\"breakers\":[…]} — global resilience counters
-        // plus the live circuit-breaker state of every connection.
-        string resilienceJson();
-    }
-}
-";
+/// ORB key the monitor port is exported under:
+/// `"{MONITOR_INSTANCE}/monitor"`. A remote collector reaches it with
+/// `ObjRef::new(MONITOR_EXPORT_KEY, transport)`.
+pub const MONITOR_EXPORT_KEY: &str = "cca-monitor/monitor";
+
+const SERVICE: ServicePort = ServicePort {
+    instance: MONITOR_INSTANCE,
+    class: "cca.MonitorComponent",
+    port: "monitor",
+    port_type: MONITOR_PORT_TYPE,
+};
 
 fn js(s: &str) -> String {
     cca_obs::trace::escape_json(s)
 }
 
-/// The monitor's port object: a [`DynObject`] over a weak framework
-/// reference (weak, so the monitor never keeps its own framework alive —
-/// the framework owns the monitor, not vice versa).
-pub struct MonitorPort {
+/// The monitor's port object over a weak framework reference (weak, so
+/// the monitor never keeps its own framework alive: the framework owns
+/// the monitor, not vice versa). In-process callers use its
+/// [`MonitorPort`] methods; the framework serves the same object through
+/// [`MonitorPortSkel`].
+#[derive(Clone)]
+pub struct Monitor {
     framework: Weak<Framework>,
 }
 
-impl MonitorPort {
-    /// Creates a monitor port watching `framework`.
-    pub fn new(framework: &Arc<Framework>) -> Arc<Self> {
-        Arc::new(MonitorPort {
+impl Monitor {
+    /// Creates a monitor watching `framework`.
+    pub fn new(framework: &Arc<Framework>) -> Self {
+        Monitor {
             framework: Arc::downgrade(framework),
-        })
+        }
     }
 
     fn framework(&self) -> Result<Arc<Framework>, SidlError> {
@@ -80,9 +68,10 @@ impl MonitorPort {
             .upgrade()
             .ok_or_else(|| SidlError::invoke("monitored framework no longer exists"))
     }
+}
 
-    /// JSON array of `{"name", "class"}` for every live instance.
-    pub fn instances_json(&self) -> Result<String, SidlError> {
+impl MonitorPort for Monitor {
+    fn instances(&self) -> Result<String, SidlError> {
         let fw = self.framework()?;
         let items: Vec<String> = fw
             .instance_names()
@@ -99,8 +88,7 @@ impl MonitorPort {
         Ok(format!("[{}]", items.join(",")))
     }
 
-    /// The live connection graph: instances as nodes, connections as edges.
-    pub fn connection_graph_json(&self) -> Result<String, SidlError> {
+    fn connectionGraph(&self) -> Result<String, SidlError> {
         let fw = self.framework()?;
         let edges: Vec<String> = fw
             .connections()
@@ -120,13 +108,12 @@ impl MonitorPort {
             .collect();
         Ok(format!(
             "{{\"instances\":{},\"connections\":[{}]}}",
-            self.instances_json()?,
+            self.instances()?,
             edges.join(",")
         ))
     }
 
-    /// Per-port metrics of every instance, keyed by instance name.
-    pub fn metrics_json(&self) -> Result<String, SidlError> {
+    fn metricsJson(&self) -> Result<String, SidlError> {
         let fw = self.framework()?;
         let mut per_instance = Vec::new();
         for name in fw.instance_names() {
@@ -149,8 +136,7 @@ impl MonitorPort {
         Ok(format!("{{{}}}", per_instance.join(",")))
     }
 
-    /// Total observed invocations of `port` on `instance`.
-    pub fn call_count(&self, instance: &str, port: &str) -> Result<i64, SidlError> {
+    fn callCount(&self, instance: &str, port: &str) -> Result<i64, SidlError> {
         let fw = self.framework()?;
         let services = fw
             .services(instance)
@@ -161,9 +147,33 @@ impl MonitorPort {
         Ok(metrics.calls() as i64)
     }
 
-    /// Global resilience counters plus the live breaker state of every
-    /// connection (state `"none"` for connections without a call policy).
-    pub fn resilience_json(&self) -> Result<String, SidlError> {
+    fn eventSubscriptions(&self) -> Result<i64, SidlError> {
+        Ok(self.framework()?.event_service().subscription_count() as i64)
+    }
+
+    fn setCounters(&self, on: bool) -> Result<(), SidlError> {
+        cca_obs::set_counters(on);
+        Ok(())
+    }
+
+    fn setTracing(&self, on: bool) -> Result<(), SidlError> {
+        cca_obs::set_tracing(on);
+        Ok(())
+    }
+
+    /// `"chrome"` renders a Chrome `trace_event` document, anything else
+    /// JSON Lines.
+    fn drainTrace(&self, format: &str) -> Result<String, SidlError> {
+        let events = cca_obs::drain();
+        Ok(if format == "chrome" {
+            cca_obs::to_chrome_trace(&events)
+        } else {
+            cca_obs::to_jsonl(&events)
+        })
+    }
+
+    /// Breaker state is `"none"` for connections without a call policy.
+    fn resilienceJson(&self) -> Result<String, SidlError> {
         let fw = self.framework()?;
         let breakers: Vec<String> = fw
             .breaker_states()
@@ -189,132 +199,66 @@ impl MonitorPort {
         ))
     }
 
-    /// Drains the tracer: `"chrome"` renders a Chrome `trace_event`
-    /// document, anything else JSON Lines.
-    pub fn drain_trace(&self, format: &str) -> String {
-        let events = cca_obs::drain();
-        if format == "chrome" {
-            cca_obs::to_chrome_trace(&events)
-        } else {
-            cca_obs::to_jsonl(&events)
-        }
-    }
-}
-
-impl DynObject for MonitorPort {
-    fn sidl_type(&self) -> &str {
-        MONITOR_PORT_TYPE
+    fn snapshotJson(&self) -> Result<String, SidlError> {
+        Ok(format!(
+            "{{\"tracing\":{},\"counters\":{},\"flight\":{},\"metrics\":{},\"resilience\":{},\
+             \"repo\":{},\"fleet\":{}}}",
+            cca_obs::tracing_enabled(),
+            cca_obs::counters_enabled(),
+            self.flightJson()?,
+            self.metricsJson()?,
+            self.resilienceJson()?,
+            cca_obs::repo().snapshot().to_json(),
+            cca_obs::fleet().snapshot().to_json(),
+        ))
     }
 
-    fn invoke(&self, method: &str, args: Vec<DynValue>) -> Result<DynValue, SidlError> {
-        match method {
-            "instances" => Ok(DynValue::Str(self.instances_json()?)),
-            "connectionGraph" => Ok(DynValue::Str(self.connection_graph_json()?)),
-            "metricsJson" => Ok(DynValue::Str(self.metrics_json()?)),
-            "callCount" => {
-                let instance = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("callCount needs (instance, port)"))?
-                    .as_str()?;
-                let port = args
-                    .get(1)
-                    .ok_or_else(|| SidlError::invoke("callCount needs (instance, port)"))?
-                    .as_str()?;
-                Ok(DynValue::Long(self.call_count(instance, port)?))
-            }
-            "eventSubscriptions" => {
-                let fw = self.framework()?;
-                Ok(DynValue::Long(
-                    fw.event_service().subscription_count() as i64
-                ))
-            }
-            "setCounters" => {
-                let on = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("setCounters needs (on)"))?
-                    .as_bool()?;
-                cca_obs::set_counters(on);
-                Ok(DynValue::Void)
-            }
-            "setTracing" => {
-                let on = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("setTracing needs (on)"))?
-                    .as_bool()?;
-                cca_obs::set_tracing(on);
-                Ok(DynValue::Void)
-            }
-            "resilienceJson" => Ok(DynValue::Str(self.resilience_json()?)),
-            "drainTrace" => {
-                let format = args
-                    .first()
-                    .ok_or_else(|| SidlError::invoke("drainTrace needs (format)"))?
-                    .as_str()?;
-                Ok(DynValue::Str(self.drain_trace(format)))
-            }
-            other => Err(SidlError::invoke(format!(
-                "{MONITOR_PORT_TYPE} has no method '{other}'"
-            ))),
-        }
-    }
-}
-
-/// The component wrapper that provides the monitor port (instance name
-/// [`MONITOR_INSTANCE`], port name `"monitor"`).
-pub struct MonitorComponent {
-    port: Arc<MonitorPort>,
-}
-
-impl Component for MonitorComponent {
-    fn component_type(&self) -> &str {
-        "cca.MonitorComponent"
+    /// Local drains (flight recorder, `drainTrace`) still see every event.
+    fn traceJsonl(&self) -> Result<String, SidlError> {
+        Ok(cca_obs::to_jsonl(&cca_obs::snapshot()))
     }
 
-    fn set_services(&self, services: Arc<CcaServices>) -> Result<(), CcaError> {
-        let dynamic: Arc<dyn DynObject> = Arc::clone(&self.port) as Arc<dyn DynObject>;
-        services.add_provides_port(
-            cca_core::PortHandle::new("monitor", MONITOR_PORT_TYPE, Arc::clone(&dynamic))
-                .with_dynamic(dynamic),
-        )
+    fn flightJson(&self) -> Result<String, SidlError> {
+        let incidents: Vec<String> = cca_obs::flight::incidents()
+            .iter()
+            .map(|p| format!("\"{}\"", js(&p.display().to_string())))
+            .collect();
+        Ok(format!(
+            "{{\"enabled\":{},\"incidents\":[{}]}}",
+            cca_obs::flight::enabled(),
+            incidents.join(",")
+        ))
     }
 }
 
 impl Framework {
-    /// Installs the monitoring component: deposits [`MONITOR_SIDL`] into
-    /// the repository (idempotently) and adds a [`MonitorComponent`]
-    /// instance named [`MONITOR_INSTANCE`] whose `"monitor"` provides port
-    /// answers the [`MONITOR_PORT_TYPE`] interface via dynamic invocation.
+    /// Installs the monitoring component: deposits the service-port SIDL
+    /// into the repository (idempotently), adds an instance named
+    /// [`MONITOR_INSTANCE`] whose `"monitor"` provides port answers
+    /// [`MONITOR_PORT_TYPE`] through the generated skeleton, and exports
+    /// that port under [`MONITOR_EXPORT_KEY`], so the next
+    /// [`serve_tcp`](Framework::serve_tcp) /
+    /// [`serve_tcp_mux`](Framework::serve_tcp_mux) call makes the process
+    /// remotely scrapeable.
     ///
     /// Returns the port object for in-process callers; reflective tools
-    /// reach the same object with
+    /// reach the skeleton with
     /// `framework.services(MONITOR_INSTANCE)?.get_provides_port("monitor")`.
-    pub fn install_monitor(self: &Arc<Self>) -> Result<Arc<MonitorPort>, CcaError> {
-        let known = self
-            .repository()
-            .with_catalog(|c| c.reflection().type_info(MONITOR_PORT_TYPE).is_some());
-        if !known {
-            self.repository()
-                .deposit_sidl(MONITOR_SIDL)
-                .map_err(|e| CcaError::Framework(format!("monitor SIDL rejected: {e}")))?;
-        }
-        let port = MonitorPort::new(self);
-        self.add_instance(
-            MONITOR_INSTANCE,
-            Arc::new(MonitorComponent {
-                port: Arc::clone(&port),
-            }),
-        )?;
-        Ok(port)
+    pub fn install_monitor(self: &Arc<Self>) -> Result<Monitor, CcaError> {
+        let monitor = Monitor::new(self);
+        self.install_service_port(SERVICE, Arc::new(MonitorPortSkel(monitor.clone())))?;
+        Ok(monitor)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cca_core::PortHandle;
+    use crate::service::CCA_PORTS_SIDL;
+    use cca_core::{CcaServices, Component, PortHandle};
     use cca_data::TypeMap;
     use cca_repository::Repository;
-    use cca_sidl::{compile, invoke_checked, Reflection};
+    use cca_sidl::{compile, invoke_checked, DynObject, DynValue, Reflection, TypeInfo};
 
     trait Echo: Send + Sync {
         fn ping(&self) -> i64;
@@ -354,28 +298,65 @@ mod tests {
         fw
     }
 
+    /// The port as a composition tool sees it: the served skeleton plus
+    /// reflection compiled from the service-port SIDL.
+    fn reflective(fw: &Arc<Framework>) -> (Arc<dyn DynObject>, TypeInfo) {
+        let handle = fw
+            .services(MONITOR_INSTANCE)
+            .unwrap()
+            .get_provides_port("monitor")
+            .unwrap();
+        let target = Arc::clone(handle.dynamic().unwrap());
+        let reflection = Reflection::from_model(&compile(CCA_PORTS_SIDL).unwrap());
+        let info = reflection.type_info(MONITOR_PORT_TYPE).unwrap().clone();
+        (target, info)
+    }
+
+    fn call(
+        target: &Arc<dyn DynObject>,
+        info: &TypeInfo,
+        method: &str,
+        args: Vec<DynValue>,
+    ) -> DynValue {
+        invoke_checked(&**target, info.method(method).unwrap(), args).unwrap()
+    }
+
     #[test]
-    fn install_is_idempotent_in_sidl_but_not_instances() {
+    fn install_registers_exports_and_is_idempotent_in_sidl_only() {
         let fw = wired_framework();
         let monitor = fw.install_monitor().unwrap();
+        // Installed and exported in one step.
+        assert!(fw.orb().keys().contains(&MONITOR_EXPORT_KEY.to_string()));
         // Second install fails on the duplicate instance name, not on a
         // duplicate SIDL deposit.
         assert!(matches!(
             fw.install_monitor(),
             Err(CcaError::ComponentAlreadyExists(_))
         ));
-        assert!(monitor.instances_json().unwrap().contains("cca-monitor"));
+        assert!(monitor.instances().unwrap().contains("cca-monitor"));
+        assert!(monitor
+            .instances()
+            .unwrap()
+            .contains("\"class\":\"cca.MonitorComponent\""));
+        // The deposited metadata is the service-port SIDL, both ports.
+        fw.repository().with_catalog(|c| {
+            assert!(c.reflection().type_info(MONITOR_PORT_TYPE).is_some());
+            assert!(c
+                .reflection()
+                .type_info(crate::discovery::DISCOVERY_PORT_TYPE)
+                .is_some());
+        });
     }
 
     #[test]
     fn monitor_reports_graph_and_metrics() {
         let fw = wired_framework();
         let monitor = fw.install_monitor().unwrap();
-        let graph = monitor.connection_graph_json().unwrap();
+        let graph = monitor.connectionGraph().unwrap();
         assert!(graph.contains("\"user\":\"u0\""));
         assert!(graph.contains("\"provider\":\"p0\""));
         assert!(graph.contains("\"policy\":\"Direct\""));
-        let metrics = monitor.metrics_json().unwrap();
+        let metrics = monitor.metricsJson().unwrap();
         assert!(metrics.contains("\"u0\""));
         assert!(metrics.contains("\"kind\":\"uses\""));
         // Counter-gated call counting observed through the monitor.
@@ -384,9 +365,9 @@ mod tests {
         let port: Arc<dyn Echo> = services.get_port_as("in").unwrap();
         assert_eq!(port.ping(), 1);
         cca_obs::set_counters(false);
-        assert!(monitor.call_count("u0", "in").unwrap() >= 1);
-        assert!(monitor.call_count("ghost", "in").is_err());
-        assert!(monitor.call_count("u0", "ghost").is_err());
+        assert!(monitor.callCount("u0", "in").unwrap() >= 1);
+        assert!(monitor.callCount("ghost", "in").is_err());
+        assert!(monitor.callCount("u0", "ghost").is_err());
     }
 
     #[test]
@@ -395,34 +376,45 @@ mod tests {
         fw.install_monitor().unwrap();
         // Reach the port the way a composition tool does: reflection from
         // the SIDL text + checked dynamic invocation, no Rust types.
-        let handle = fw
-            .services(MONITOR_INSTANCE)
-            .unwrap()
-            .get_provides_port("monitor")
-            .unwrap();
-        let target = handle.dynamic().unwrap();
-        let reflection = Reflection::from_model(&compile(MONITOR_SIDL).unwrap());
-        let info = reflection.type_info(MONITOR_PORT_TYPE).unwrap();
+        let (target, info) = reflective(&fw);
 
-        let r = invoke_checked(&**target, info.method("instances").unwrap(), vec![]).unwrap();
+        let r = call(&target, &info, "instances", vec![]);
         assert!(r.as_str().unwrap().contains("\"u0\""));
 
-        let r = invoke_checked(
-            &**target,
-            info.method("callCount").unwrap(),
+        let r = call(
+            &target,
+            &info,
+            "callCount",
             vec![DynValue::Str("u0".into()), DynValue::Str("in".into())],
-        )
-        .unwrap();
+        );
         assert!(r.as_long().unwrap() >= 0);
 
         // Arity/type checking comes from the deposited metadata.
-        assert!(invoke_checked(&**target, info.method("callCount").unwrap(), vec![]).is_err());
-        let r = invoke_checked(
-            &**target,
-            info.method("eventSubscriptions").unwrap(),
-            vec![],
+        assert!(invoke_checked(&*target, info.method("callCount").unwrap(), vec![]).is_err());
+        let r = call(&target, &info, "eventSubscriptions", vec![]);
+        assert!(r.as_long().unwrap() >= 0);
+
+        let r = call(&target, &info, "snapshotJson", vec![]);
+        assert!(r.as_str().unwrap().contains("\"metrics\""));
+        let r = call(&target, &info, "flightJson", vec![]);
+        assert!(r.as_str().unwrap().contains("\"incidents\""));
+        assert!(invoke_checked(&*target, info.method("setTracing").unwrap(), vec![]).is_err());
+    }
+
+    #[test]
+    fn snapshot_covers_every_counter_block() {
+        let fw = wired_framework();
+        let monitor = fw.install_monitor().unwrap();
+        let snap = monitor.snapshotJson().unwrap();
+        assert!(snap.contains("\"tracing\":"), "{snap}");
+        assert!(snap.contains("\"flight\":{\"enabled\":"), "{snap}");
+        assert!(snap.contains("\"u0\""), "{snap}");
+        assert!(snap.contains("\"resilience\":{"), "{snap}");
+        assert!(snap.contains("\"repo\":{\"deposits\""), "{snap}");
+        assert!(
+            snap.contains("\"fleet\":{\"checkpoints_committed\""),
+            "{snap}"
         );
-        assert!(r.unwrap().as_long().unwrap() >= 0);
     }
 
     #[test]
@@ -439,7 +431,7 @@ mod tests {
             .unwrap();
         let monitor = fw.install_monitor().unwrap();
 
-        let json = monitor.resilience_json().unwrap();
+        let json = monitor.resilienceJson().unwrap();
         assert!(json.contains("\"state\":\"closed\""), "{json}");
         assert!(json.contains("\"breaker_opens\""), "{json}");
 
@@ -453,21 +445,33 @@ mod tests {
         for _ in 0..3 {
             breaker.record_failure();
         }
-        let json = monitor.resilience_json().unwrap();
+        let json = monitor.resilienceJson().unwrap();
         assert!(json.contains("\"state\":\"open\""), "{json}");
         assert!(json.contains("\"consecutiveFailures\":3"), "{json}");
 
         // The reflective path reaches the same method via deposited SIDL.
-        let handle = fw
-            .services(MONITOR_INSTANCE)
-            .unwrap()
-            .get_provides_port("monitor")
-            .unwrap();
-        let target = handle.dynamic().unwrap();
-        let reflection = Reflection::from_model(&compile(MONITOR_SIDL).unwrap());
-        let info = reflection.type_info(MONITOR_PORT_TYPE).unwrap();
-        let r = invoke_checked(&**target, info.method("resilienceJson").unwrap(), vec![]).unwrap();
+        let (target, info) = reflective(&fw);
+        let r = call(&target, &info, "resilienceJson", vec![]);
         assert!(r.as_str().unwrap().contains("\"breakers\""));
+    }
+
+    #[test]
+    fn trace_scrape_does_not_consume_the_ring() {
+        let fw = wired_framework();
+        fw.install_monitor().unwrap();
+        let (target, info) = reflective(&fw);
+        call(&target, &info, "setTracing", vec![DynValue::Bool(true)]);
+        cca_obs::trace_instant("scrape-me");
+        let first = call(&target, &info, "traceJsonl", vec![]);
+        let second = call(&target, &info, "traceJsonl", vec![]);
+        call(&target, &info, "setTracing", vec![DynValue::Bool(false)]);
+        cca_obs::drain();
+        let (first, second) = (first.as_str().unwrap(), second.as_str().unwrap());
+        assert!(first.contains("\"scrape-me\""), "{first}");
+        assert!(
+            second.contains("\"scrape-me\""),
+            "second scrape still sees it"
+        );
     }
 
     #[test]
@@ -475,7 +479,7 @@ mod tests {
         let fw = wired_framework();
         let monitor = fw.install_monitor().unwrap();
         drop(fw);
-        assert!(monitor.instances_json().is_err());
+        assert!(monitor.instances().is_err());
         assert!(monitor
             .framework()
             .err()
@@ -487,12 +491,22 @@ mod tests {
     #[test]
     fn unknown_method_and_bad_args_error() {
         let fw = wired_framework();
-        let monitor = fw.install_monitor().unwrap();
-        assert!(monitor.invoke("selfDestruct", vec![]).is_err());
-        assert!(monitor.invoke("setTracing", vec![]).is_err());
-        assert!(monitor
+        fw.install_monitor().unwrap();
+        let (target, _) = reflective(&fw);
+        assert!(target.invoke("selfDestruct", vec![]).is_err());
+        assert!(target.invoke("setTracing", vec![]).is_err());
+        assert!(target
             .invoke("setTracing", vec![DynValue::Long(1)])
             .is_err());
-        assert!(monitor.invoke("drainTrace", vec![]).is_err());
+        assert!(target.invoke("drainTrace", vec![]).is_err());
+        assert!(target
+            .invoke("callCount", vec![DynValue::Str("u0".into())])
+            .is_err());
+        assert!(target
+            .invoke(
+                "callCount",
+                vec![DynValue::Str("u0".into()), DynValue::Long(1)]
+            )
+            .is_err());
     }
 }

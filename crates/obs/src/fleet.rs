@@ -1,143 +1,48 @@
 //! Fleet counters: one shared tally of worker-fleet supervision events.
 //!
-//! Same shape as [`crate::resilience`]: plain relaxed atomics bumped from
-//! the supervisor/hub hot paths (rank death handling must never block on
+//! Same shape as [`crate::resilience`](mod@crate::resilience), both a
+//! `counter_block!`: plain relaxed atomics bumped from the
+//! supervisor/hub hot paths (rank death handling must never block on
 //! observability), snapshot on demand, stable-key JSON for the
-//! ObservabilityPort and the flight recorder.
+//! MonitorPort's `snapshotJson` and the flight recorder.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::counter_block::counter_block;
+// The tests assemble a block by hand.
+#[cfg(test)]
+use std::sync::atomic::AtomicU64;
 
-/// Monotonic counters for fleet supervision, one instance process-wide
-/// (see [`fleet()`]).
-#[derive(Debug)]
-pub struct FleetCounters {
-    /// Child processes launched (first launches and restarts).
-    launches: AtomicU64,
-    /// Rank deaths detected (connection death / waitpid).
-    deaths: AtomicU64,
-    /// Restarts scheduled under backoff after a death.
-    restarts: AtomicU64,
-    /// Ranks that completed the join handshake after a restart.
-    rejoins: AtomicU64,
-    /// Group generation bumps (each non-clean disconnect forces one).
-    generation_bumps: AtomicU64,
-    /// Checkpoints promoted to committed (all ranks staged the step).
-    checkpoints_committed: AtomicU64,
-    /// Messages relayed through the fleet hub's mailboxes.
-    messages_relayed: AtomicU64,
-}
+// Fields are declared alphabetically: the JSON keys follow declaration
+// order, and scrape consumers rely on the sorted order.
+counter_block! {
+    /// Monotonic counters for fleet supervision, one instance process-wide
+    /// (see [`fleet()`]).
+    pub struct FleetCounters;
+    /// A point-in-time copy of [`FleetCounters`].
+    pub struct FleetSnapshot;
+    /// The process-wide fleet counters.
+    pub fn fleet();
 
-/// A point-in-time copy of [`FleetCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetSnapshot {
-    /// Child processes launched (first launches and restarts).
-    pub launches: u64,
-    /// Rank deaths detected.
-    pub deaths: u64,
-    /// Restarts scheduled under backoff.
-    pub restarts: u64,
-    /// Ranks rejoined after restart.
-    pub rejoins: u64,
-    /// Group generation bumps.
-    pub generation_bumps: u64,
     /// Checkpoints promoted to committed.
-    pub checkpoints_committed: u64,
+    checkpoints_committed: /// Records a checkpoint promoted to committed.
+        fn record_checkpoint_committed();
+    /// Rank deaths detected (connection death / waitpid).
+    deaths: /// Records a detected rank death.
+        fn record_death();
+    /// Group generation bumps (each non-clean disconnect forces one).
+    generation_bumps: /// Records a group generation bump.
+        fn record_generation_bump();
+    /// Child processes launched (first launches and restarts).
+    launches: /// Records a child-process launch.
+        fn record_launch();
     /// Messages relayed through the hub.
-    pub messages_relayed: u64,
-}
-
-impl FleetSnapshot {
-    /// Stable-key-order JSON object, consumed by scrape endpoints and the
-    /// flight recorder.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"checkpoints_committed\":{},\"deaths\":{},\"generation_bumps\":{},\
-             \"launches\":{},\"messages_relayed\":{},\"rejoins\":{},\"restarts\":{}}}",
-            self.checkpoints_committed,
-            self.deaths,
-            self.generation_bumps,
-            self.launches,
-            self.messages_relayed,
-            self.rejoins,
-            self.restarts,
-        )
-    }
-}
-
-impl FleetCounters {
-    /// Records a child-process launch.
-    pub fn record_launch(&self) {
-        self.launches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a detected rank death.
-    pub fn record_death(&self) {
-        self.deaths.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a restart scheduled under backoff.
-    pub fn record_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a completed post-restart rejoin.
-    pub fn record_rejoin(&self) {
-        self.rejoins.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a group generation bump.
-    pub fn record_generation_bump(&self) {
-        self.generation_bumps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a checkpoint promoted to committed.
-    pub fn record_checkpoint_committed(&self) {
-        self.checkpoints_committed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one message relayed through the hub.
-    pub fn record_message_relayed(&self) {
-        self.messages_relayed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> FleetSnapshot {
-        FleetSnapshot {
-            launches: self.launches.load(Ordering::Relaxed),
-            deaths: self.deaths.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            rejoins: self.rejoins.load(Ordering::Relaxed),
-            generation_bumps: self.generation_bumps.load(Ordering::Relaxed),
-            checkpoints_committed: self.checkpoints_committed.load(Ordering::Relaxed),
-            messages_relayed: self.messages_relayed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter (tests).
-    pub fn reset(&self) {
-        self.launches.store(0, Ordering::Relaxed);
-        self.deaths.store(0, Ordering::Relaxed);
-        self.restarts.store(0, Ordering::Relaxed);
-        self.rejoins.store(0, Ordering::Relaxed);
-        self.generation_bumps.store(0, Ordering::Relaxed);
-        self.checkpoints_committed.store(0, Ordering::Relaxed);
-        self.messages_relayed.store(0, Ordering::Relaxed);
-    }
-}
-
-static GLOBAL: FleetCounters = FleetCounters {
-    launches: AtomicU64::new(0),
-    deaths: AtomicU64::new(0),
-    restarts: AtomicU64::new(0),
-    rejoins: AtomicU64::new(0),
-    generation_bumps: AtomicU64::new(0),
-    checkpoints_committed: AtomicU64::new(0),
-    messages_relayed: AtomicU64::new(0),
-};
-
-/// The process-wide fleet counters.
-pub fn fleet() -> &'static FleetCounters {
-    &GLOBAL
+    messages_relayed: /// Records one message relayed through the hub.
+        fn record_message_relayed();
+    /// Ranks rejoined after restart.
+    rejoins: /// Records a completed post-restart rejoin.
+        fn record_rejoin();
+    /// Restarts scheduled under backoff.
+    restarts: /// Records a restart scheduled under backoff.
+        fn record_restart();
 }
 
 #[cfg(test)]

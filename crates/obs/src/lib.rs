@@ -35,6 +35,7 @@
 //! remote tool can ask "who is connected to whom, how hot is each port"
 //! exactly as Fig. 2's builder would.
 
+mod counter_block;
 pub mod flags;
 pub mod fleet;
 pub mod flight;

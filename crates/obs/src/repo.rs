@@ -1,7 +1,7 @@
 //! Global repository counters: deposits, lookups, fuzzy discovery.
 //!
 //! The sharded repository (`cca-repository`) reports here so the
-//! `ObservabilityPort`/`DiscoveryPort` can answer "how hot is the
+//! `MonitorPort`/`DiscoveryPort` can answer "how hot is the
 //! catalog" without walking shards. Like [`crate::resilience`], these are
 //! **not** gated by the `counters` flag: a registration or a fuzzy query
 //! already allocates and searches, so one relaxed `fetch_add` on top is
@@ -9,127 +9,44 @@
 //! path is a hash + one `Arc` clone, where a relaxed add is still far
 //! below measurement floor. Process-global, like [`crate::flags`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::counter_block::counter_block;
+use std::sync::atomic::Ordering;
 
-/// The process-wide repository counter block.
-#[derive(Debug, Default)]
-pub struct RepoCounters {
-    deposits: AtomicU64,
-    exact_lookups: AtomicU64,
-    exact_misses: AtomicU64,
-    fuzzy_queries: AtomicU64,
-    fuzzy_hits: AtomicU64,
-    cursor_pages: AtomicU64,
-    rebalances: AtomicU64,
+counter_block! {
+    /// The process-wide repository counter block.
+    pub struct RepoCounters;
+    /// A point-in-time copy of the global [`RepoCounters`].
+    pub struct RepoSnapshot;
+    /// The process-global repository counter block.
+    pub fn repo();
+
+    /// Component registrations (single + batch).
+    deposits: /// Records `n` component registrations (single or batch deposit).
+        fn record_deposits(n);
+    /// Exact class lookups that found their entry.
+    exact_lookups: /// Records one exact class lookup that found its entry.
+        fn record_exact_lookup();
+    /// Exact class lookups that missed.
+    exact_misses: /// Records one exact class lookup that missed.
+        fn record_exact_miss();
+    /// Fuzzy discovery queries served (first pages and continuations).
+    fuzzy_queries;
+    /// Entries returned across all fuzzy pages.
+    fuzzy_hits;
+    /// Continuation pages served from a cursor.
+    cursor_pages: /// Records one continuation page served from a `QueryCursor`.
+        fn record_cursor_page();
+    /// Store-wide reshards.
+    rebalances: /// Records one store-wide reshard.
+        fn record_rebalance();
 }
 
 impl RepoCounters {
-    /// Records `n` component registrations (single or batch deposit).
-    pub fn record_deposits(&self, n: u64) {
-        self.deposits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one exact class lookup that found its entry.
-    pub fn record_exact_lookup(&self) {
-        self.exact_lookups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one exact class lookup that missed.
-    pub fn record_exact_miss(&self) {
-        self.exact_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one fuzzy query returning `hits` entries on its page.
     pub fn record_fuzzy_query(&self, hits: u64) {
         self.fuzzy_queries.fetch_add(1, Ordering::Relaxed);
         self.fuzzy_hits.fetch_add(hits, Ordering::Relaxed);
     }
-
-    /// Records one continuation page served from a `QueryCursor`.
-    pub fn record_cursor_page(&self) {
-        self.cursor_pages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one store-wide reshard.
-    pub fn record_rebalance(&self) {
-        self.rebalances.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> RepoSnapshot {
-        RepoSnapshot {
-            deposits: self.deposits.load(Ordering::Relaxed),
-            exact_lookups: self.exact_lookups.load(Ordering::Relaxed),
-            exact_misses: self.exact_misses.load(Ordering::Relaxed),
-            fuzzy_queries: self.fuzzy_queries.load(Ordering::Relaxed),
-            fuzzy_hits: self.fuzzy_hits.load(Ordering::Relaxed),
-            cursor_pages: self.cursor_pages.load(Ordering::Relaxed),
-            rebalances: self.rebalances.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter (test isolation; counters are process-global).
-    pub fn reset(&self) {
-        self.deposits.store(0, Ordering::Relaxed);
-        self.exact_lookups.store(0, Ordering::Relaxed);
-        self.exact_misses.store(0, Ordering::Relaxed);
-        self.fuzzy_queries.store(0, Ordering::Relaxed);
-        self.fuzzy_hits.store(0, Ordering::Relaxed);
-        self.cursor_pages.store(0, Ordering::Relaxed);
-        self.rebalances.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of the global [`RepoCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RepoSnapshot {
-    /// Component registrations (single + batch).
-    pub deposits: u64,
-    /// Exact class lookups that found their entry.
-    pub exact_lookups: u64,
-    /// Exact class lookups that missed.
-    pub exact_misses: u64,
-    /// Fuzzy discovery queries served (first pages and continuations).
-    pub fuzzy_queries: u64,
-    /// Entries returned across all fuzzy pages.
-    pub fuzzy_hits: u64,
-    /// Continuation pages served from a cursor.
-    pub cursor_pages: u64,
-    /// Store-wide reshards.
-    pub rebalances: u64,
-}
-
-impl RepoSnapshot {
-    /// JSON rendering (object; stable key order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"deposits\":{},\"exact_lookups\":{},\"exact_misses\":{},\
-             \"fuzzy_queries\":{},\"fuzzy_hits\":{},\"cursor_pages\":{},\
-             \"rebalances\":{}}}",
-            self.deposits,
-            self.exact_lookups,
-            self.exact_misses,
-            self.fuzzy_queries,
-            self.fuzzy_hits,
-            self.cursor_pages,
-            self.rebalances
-        )
-    }
-}
-
-static GLOBAL: RepoCounters = RepoCounters {
-    deposits: AtomicU64::new(0),
-    exact_lookups: AtomicU64::new(0),
-    exact_misses: AtomicU64::new(0),
-    fuzzy_queries: AtomicU64::new(0),
-    fuzzy_hits: AtomicU64::new(0),
-    cursor_pages: AtomicU64::new(0),
-    rebalances: AtomicU64::new(0),
-};
-
-/// The process-global repository counter block.
-pub fn repo() -> &'static RepoCounters {
-    &GLOBAL
 }
 
 #[cfg(test)]

@@ -9,119 +9,34 @@
 //! are rare and already expensive — the same reasoning that keeps
 //! connection-shape metrics ungated. Process-global, like [`crate::flags`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::counter_block::counter_block;
 
-/// The process-wide resilience counter block.
-#[derive(Debug, Default)]
-pub struct ResilienceCounters {
-    retries: AtomicU64,
-    deadline_hits: AtomicU64,
-    breaker_opens: AtomicU64,
-    breaker_half_opens: AtomicU64,
-    breaker_closes: AtomicU64,
-    quarantine_rejections: AtomicU64,
-}
+counter_block! {
+    /// The process-wide resilience counter block.
+    pub struct ResilienceCounters;
+    /// A point-in-time copy of the global [`ResilienceCounters`].
+    pub struct ResilienceSnapshot;
+    /// The process-global resilience counter block.
+    pub fn resilience();
 
-impl ResilienceCounters {
-    /// Records one retried attempt (an attempt after the first).
-    pub fn record_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one call abandoned because its deadline expired.
-    pub fn record_deadline_hit(&self) {
-        self.deadline_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a breaker transitioning to open (provider quarantined).
-    pub fn record_breaker_open(&self) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a breaker transitioning to half-open (probe admitted).
-    pub fn record_breaker_half_open(&self) {
-        self.breaker_half_opens.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a breaker transitioning to closed (provider recovered).
-    pub fn record_breaker_close(&self) {
-        self.breaker_closes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a call refused because its provider was quarantined.
-    pub fn record_quarantine_rejection(&self) {
-        self.quarantine_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> ResilienceSnapshot {
-        ResilienceSnapshot {
-            retries: self.retries.load(Ordering::Relaxed),
-            deadline_hits: self.deadline_hits.load(Ordering::Relaxed),
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            breaker_half_opens: self.breaker_half_opens.load(Ordering::Relaxed),
-            breaker_closes: self.breaker_closes.load(Ordering::Relaxed),
-            quarantine_rejections: self.quarantine_rejections.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter (test isolation; counters are process-global).
-    pub fn reset(&self) {
-        self.retries.store(0, Ordering::Relaxed);
-        self.deadline_hits.store(0, Ordering::Relaxed);
-        self.breaker_opens.store(0, Ordering::Relaxed);
-        self.breaker_half_opens.store(0, Ordering::Relaxed);
-        self.breaker_closes.store(0, Ordering::Relaxed);
-        self.quarantine_rejections.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of the global [`ResilienceCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResilienceSnapshot {
     /// Attempts after the first (one per backoff wait).
-    pub retries: u64,
+    retries: /// Records one retried attempt (an attempt after the first).
+        fn record_retry();
     /// Calls abandoned on deadline expiry.
-    pub deadline_hits: u64,
+    deadline_hits: /// Records one call abandoned because its deadline expired.
+        fn record_deadline_hit();
     /// Closed/half-open → open transitions (quarantines).
-    pub breaker_opens: u64,
+    breaker_opens: /// Records a breaker transitioning to open (provider quarantined).
+        fn record_breaker_open();
     /// Open → half-open transitions (probes admitted).
-    pub breaker_half_opens: u64,
+    breaker_half_opens: /// Records a breaker transitioning to half-open (probe admitted).
+        fn record_breaker_half_open();
     /// → closed transitions (recoveries).
-    pub breaker_closes: u64,
+    breaker_closes: /// Records a breaker transitioning to closed (provider recovered).
+        fn record_breaker_close();
     /// Calls refused while a provider was quarantined.
-    pub quarantine_rejections: u64,
-}
-
-impl ResilienceSnapshot {
-    /// JSON rendering (object; stable key order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"retries\":{},\"deadline_hits\":{},\"breaker_opens\":{},\
-             \"breaker_half_opens\":{},\"breaker_closes\":{},\
-             \"quarantine_rejections\":{}}}",
-            self.retries,
-            self.deadline_hits,
-            self.breaker_opens,
-            self.breaker_half_opens,
-            self.breaker_closes,
-            self.quarantine_rejections
-        )
-    }
-}
-
-static GLOBAL: ResilienceCounters = ResilienceCounters {
-    retries: AtomicU64::new(0),
-    deadline_hits: AtomicU64::new(0),
-    breaker_opens: AtomicU64::new(0),
-    breaker_half_opens: AtomicU64::new(0),
-    breaker_closes: AtomicU64::new(0),
-    quarantine_rejections: AtomicU64::new(0),
-};
-
-/// The process-global resilience counter block.
-pub fn resilience() -> &'static ResilienceCounters {
-    &GLOBAL
+    quarantine_rejections: /// Records a call refused because its provider was quarantined.
+        fn record_quarantine_rejection();
 }
 
 #[cfg(test)]

@@ -125,6 +125,9 @@ struct MuxConn {
     alive: AtomicBool,
     metrics: Arc<MuxMetrics>,
     transport_metrics: Arc<TransportMetrics>,
+    /// The reader and writer threads, joined once the connection is
+    /// torn down so none outlives its transport.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 // TcpStream, Mutex-guarded state, and atomics only: safe to share across
@@ -178,6 +181,19 @@ impl MuxConn {
         for cell in victims {
             self.metrics.record_end();
             cell.deliver(Err(cause.clone()));
+        }
+    }
+
+    /// Joins the reader and writer threads. Only valid after
+    /// [`teardown`](Self::teardown), which is what makes them exit; a
+    /// service thread calling this skips joining itself.
+    fn join_threads(&self) {
+        let handles = std::mem::take(&mut *self.threads.lock().unwrap());
+        let me = std::thread::current().id();
+        for handle in handles {
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 
@@ -391,6 +407,10 @@ impl MuxTransport {
                 return Ok(Arc::clone(conn));
             }
         }
+        // A dead connection's threads are already on their way out.
+        if let Some(dead) = slot.take() {
+            dead.join_threads();
+        }
         let conn = self.dial()?;
         *slot = Some(Arc::clone(&conn));
         Ok(conn)
@@ -423,19 +443,32 @@ impl MuxTransport {
             alive: AtomicBool::new(true),
             metrics: Arc::clone(&self.mux_metrics),
             transport_metrics: Arc::clone(&self.metrics),
+            threads: Mutex::new(Vec::with_capacity(2)),
         });
         let max_payload = self.max_payload;
         let for_reader = Arc::clone(&conn);
-        std::thread::Builder::new()
+        let reader = std::thread::Builder::new()
             .name(format!("cca-mux-read-{}", self.addr))
-            .spawn(move || for_reader.read_loop(reader_half, max_payload))
-            .map_err(|e| conn_err(format!("spawn mux reader: {e}")))?;
+            .spawn(move || for_reader.read_loop(reader_half, max_payload));
         let for_writer = Arc::clone(&conn);
-        std::thread::Builder::new()
-            .name(format!("cca-mux-write-{}", self.addr))
-            .spawn(move || for_writer.write_loop(writer_half))
-            .map_err(|e| conn_err(format!("spawn mux writer: {e}")))?;
-        Ok(conn)
+        let writer = reader.and_then(|reader| {
+            conn.threads.lock().unwrap().push(reader);
+            std::thread::Builder::new()
+                .name(format!("cca-mux-write-{}", self.addr))
+                .spawn(move || for_writer.write_loop(writer_half))
+        });
+        match writer {
+            Ok(writer) => {
+                conn.threads.lock().unwrap().push(writer);
+                Ok(conn)
+            }
+            Err(e) => {
+                let err = conn_err(format!("spawn mux service thread: {e}"));
+                conn.teardown(err.clone());
+                conn.join_threads();
+                Err(err)
+            }
+        }
     }
 
     /// Starts one call without waiting for its reply: registers the
@@ -643,9 +676,10 @@ impl MuxTransport {
 impl Drop for MuxTransport {
     fn drop(&mut self) {
         for slot in &self.slots {
-            let conn = slot.conn.lock().unwrap().clone();
+            let conn = slot.conn.lock().unwrap().take();
             if let Some(conn) = conn {
                 conn.teardown(conn_err("transport dropped"));
+                conn.join_threads();
             }
         }
     }

@@ -10,13 +10,14 @@
 //! The example wires a tiny two-component assembly, installs the
 //! framework's monitor component, and from that point on touches the
 //! monitor exclusively through `cca::sidl::invoke_checked` against the
-//! reflection metadata compiled from `MONITOR_SIDL` — no Rust method on
-//! `MonitorPort` is called directly. It turns the per-port counters on,
+//! reflection metadata compiled from `CCA_PORTS_SIDL` (the framework's
+//! service-port SIDL) — no Rust method of the `MonitorPort` trait is
+//! called directly. It turns the per-port counters on,
 //! drives some port traffic, reads back the live connection graph and call
 //! counts, then flips the tracer on and drains a Chrome-format trace.
 
 use cca::core::{CcaError, CcaServices, Component, PortHandle};
-use cca::framework::{Framework, MONITOR_INSTANCE, MONITOR_PORT_TYPE, MONITOR_SIDL};
+use cca::framework::{Framework, CCA_PORTS_SIDL, MONITOR_INSTANCE, MONITOR_PORT_TYPE};
 use cca::repository::Repository;
 use cca::sidl::{compile, invoke_checked, DynObject, DynValue, MethodInfo, Reflection};
 use std::sync::Arc;
@@ -87,11 +88,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Reflection metadata straight from the interface definition — the
     // same text the framework deposited into the repository.
-    let model = compile(MONITOR_SIDL)?;
+    let model = compile(CCA_PORTS_SIDL)?;
     let reflection = Reflection::from_model(&model);
     let info = reflection
         .type_info(MONITOR_PORT_TYPE)
-        .expect("MONITOR_SIDL defines the monitor port type");
+        .expect("CCA_PORTS_SIDL defines the monitor port type");
 
     // 1. Who is alive?
     let instances = invoke_checked(&*target, method(info, "instances"), vec![])?;

@@ -54,6 +54,13 @@ build_test() {
 
     echo "==> cargo test"
     cargo test --offline --workspace -q
+
+    # The monitoring example reaches the MonitorPort only through
+    # invoke_checked against the deposited service-port SIDL, and asserts
+    # the call count it observes: an end-to-end check of the generated
+    # skeletons that no test binary replaces.
+    echo "==> monitoring example"
+    cargo run --offline --release --example monitoring >/dev/null
 }
 
 clippy() {

@@ -17,7 +17,7 @@
 
 use cca::core::resilience::{fault_seed_from_env, BreakerPolicy, CallPolicy, MockClock};
 use cca::core::{CcaError, CcaServices, Component, ConfigEvent, PortHandle};
-use cca::framework::{Framework, RemoteTransportKind, OBSERVABILITY_EXPORT_KEY};
+use cca::framework::{Framework, RemoteTransportKind, MONITOR_EXPORT_KEY};
 use cca::obs::TraceEvent;
 use cca::repository::Repository;
 use cca::rpc::{MuxServer, MuxTransport, ObjRef};
@@ -412,21 +412,36 @@ fn mid_call_drop_leaves_a_flight_recording_with_the_quarantine() {
 // The scrape plane, over the same wire it observes.
 // ---------------------------------------------------------------------
 
-/// A remote collector dials the exported `ObservabilityPort` through a
-/// plain `MuxTransport` + `ObjRef` — no framework on the client side at
-/// all — scrapes a snapshot and the live trace ring, and flips tracing
-/// off across the network.
+/// A remote collector dials the exported `MonitorPort` through a plain
+/// `MuxTransport` + `ObjRef` — no framework on the client side at all —
+/// reads the live wiring and call counts, scrapes a snapshot and the live
+/// trace ring, and flips tracing off across the network.
 #[test]
-fn observability_port_scrapes_over_mux() {
+fn monitor_port_scrapes_over_mux() {
     let _serial = SERIAL.lock();
 
     let server_fw = Framework::new(Repository::new());
     server_fw
         .add_instance("provider0", Arc::new(DoublerProvider))
         .unwrap();
-    server_fw.install_observability().unwrap();
+    server_fw
+        .add_instance("consumer0", Arc::new(RemoteConsumer))
+        .unwrap();
+    server_fw
+        .connect("consumer0", "in", "provider0", "out")
+        .unwrap();
+    server_fw.install_monitor().unwrap();
     let server = server_fw.serve_tcp_mux("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
+
+    // Counted in-process traffic for the remote `callCount` to observe.
+    cca::obs::set_counters(true);
+    let services = server_fw.services("consumer0").unwrap();
+    for k in 0..3 {
+        let port: Arc<dyn DynObject> = services.get_port_as("in").unwrap();
+        port.invoke("double", vec![DynValue::Long(k)]).unwrap();
+    }
+    cca::obs::set_counters(false);
 
     cca::obs::drain();
     cca::obs::set_tracing(true);
@@ -434,9 +449,30 @@ fn observability_port_scrapes_over_mux() {
 
     let transport = Arc::new(MuxTransport::new(addr));
     let objref = ObjRef::new(
-        OBSERVABILITY_EXPORT_KEY,
+        MONITOR_EXPORT_KEY,
         transport as Arc<dyn cca::rpc::Transport>,
     );
+
+    let graph = objref.invoke("connectionGraph", vec![]).unwrap();
+    let graph = graph.as_str().unwrap();
+    assert!(graph.contains("\"user\":\"consumer0\""), "{graph}");
+    assert!(graph.contains("\"provider\":\"provider0\""), "{graph}");
+    let calls = objref
+        .invoke(
+            "callCount",
+            vec![
+                DynValue::Str("consumer0".into()),
+                DynValue::Str("in".into()),
+            ],
+        )
+        .unwrap();
+    assert!(calls.as_long().unwrap() >= 3, "{calls:?}");
+    assert!(objref
+        .invoke(
+            "callCount",
+            vec![DynValue::Str("ghost".into()), DynValue::Str("in".into())],
+        )
+        .is_err());
 
     let snap = objref.invoke("snapshotJson", vec![]).unwrap();
     let snap = snap.as_str().unwrap();
@@ -444,6 +480,10 @@ fn observability_port_scrapes_over_mux() {
     assert!(snap.contains("\"provider0\""), "{snap}");
     assert!(snap.contains("\"flight\":{\"enabled\":"), "{snap}");
     assert!(snap.contains("\"resilience\":{"), "{snap}");
+    assert!(
+        snap.contains("\"fleet\":{\"checkpoints_committed\":"),
+        "{snap}"
+    );
 
     let trace = objref.invoke("traceJsonl", vec![]).unwrap();
     assert!(
