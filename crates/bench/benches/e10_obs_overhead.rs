@@ -23,13 +23,14 @@
 //! quantities differ by fractions of a nanosecond, and the minimum is the
 //! standard estimator for the true cost of an L1-hot loop.
 
+use cca_bench::{measure_min, write_atomic};
 use cca_core::{CcaServices, PortHandle};
 use cca_data::TypeMap;
 use cca_rpc::{ObjRef, Orb};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 trait WorkPort: Send + Sync {
     fn accumulate(&self, x: f64) -> f64;
@@ -98,37 +99,6 @@ impl<P: ?Sized + Send + Sync + 'static> Pr1Replica<P> {
     }
 }
 
-/// Minimum ns/iter over `samples` batches, each auto-calibrated to roughly
-/// `target` wall-clock.
-fn measure_min<R>(samples: usize, target: Duration, mut f: impl FnMut() -> R) -> f64 {
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= target || iters >= 1 << 28 {
-            break;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 16
-        } else {
-            let scale = target.as_secs_f64() / elapsed.as_secs_f64();
-            ((iters as f64 * scale.clamp(1.2, 16.0)) as u64).max(iters + 1)
-        };
-    }
-    (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn wire_single() -> Arc<CcaServices> {
     let provider = CcaServices::new("provider");
     let obj: Arc<dyn WorkPort> = Arc::new(WorkImpl { bias: 0.5 });
@@ -141,14 +111,6 @@ fn wire_single() -> Arc<CcaServices> {
     user.connect_uses("in", provider.get_provides_port("work").unwrap())
         .unwrap();
     user
-}
-
-/// Atomic publication: write next to the target, then rename. A crashed or
-/// ctrl-C'd bench run never leaves a truncated JSON for CI to trip over.
-fn write_atomic(path: &str, contents: &str) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).unwrap_or_else(|e| panic!("write {tmp}: {e}"));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp} -> {path}: {e}"));
 }
 
 fn main() {

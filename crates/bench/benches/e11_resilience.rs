@@ -24,12 +24,13 @@
 //! long separate windows from failing the gate — a genuinely slower
 //! probe is slower in every round.
 
+use cca_bench::{measure_min, measure_ratio, write_atomic};
 use cca_core::resilience::{BreakerPolicy, CallPolicy, MockClock};
 use cca_core::{CcaServices, PortHandle};
 use cca_data::TypeMap;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 trait WorkPort: Send + Sync {
     fn accumulate(&self, x: f64) -> f64;
@@ -82,66 +83,6 @@ impl<P: ?Sized + Send + Sync + 'static> Pr1Replica<P> {
     }
 }
 
-fn time_iters<R>(iters: u64, f: &mut impl FnMut() -> R) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// Calibrates a batch size so one run of `f` takes roughly `target`.
-fn calibrate<R>(target: Duration, f: &mut impl FnMut() -> R) -> u64 {
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= target || iters >= 1 << 28 {
-            return iters;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 16
-        } else {
-            let scale = target.as_secs_f64() / elapsed.as_secs_f64();
-            ((iters as f64 * scale.clamp(1.2, 16.0)) as u64).max(iters + 1)
-        };
-    }
-}
-
-/// Minimum ns/iter over `samples` batches, each auto-calibrated to roughly
-/// `target` wall-clock.
-fn measure_min<R>(samples: usize, target: Duration, mut f: impl FnMut() -> R) -> f64 {
-    let iters = calibrate(target, &mut f);
-    (0..samples)
-        .map(|_| time_iters(iters, &mut f))
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Alternating A/B measurement for a gated ratio: each round times the
-/// baseline and the probe back to back, keeping the minimum of each and
-/// the minimum per-round `probe/baseline` ratio (see the module doc).
-fn measure_ratio<RA, RB>(
-    samples: usize,
-    target: Duration,
-    mut baseline: impl FnMut() -> RA,
-    mut probe: impl FnMut() -> RB,
-) -> (f64, f64, f64) {
-    let iters = calibrate(target, &mut baseline);
-    calibrate(target, &mut probe); // warm the probe path too
-    let (mut best_a, mut best_b, mut best_ratio) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..samples {
-        let a = time_iters(iters, &mut baseline);
-        let b = time_iters(iters, &mut probe);
-        best_a = best_a.min(a);
-        best_b = best_b.min(b);
-        best_ratio = best_ratio.min(b / a);
-    }
-    (best_a, best_b, best_ratio)
-}
-
 /// One provider/user pair; `with_breaker` additionally installs a call
 /// policy (closed breaker, generous threshold) on the uses slot before
 /// connecting, so the delivered handle carries a breaker.
@@ -162,14 +103,6 @@ fn wire(with_breaker: bool) -> Arc<CcaServices> {
     user.connect_uses("in", provider.get_provides_port("work").unwrap())
         .unwrap();
     user
-}
-
-/// Atomic publication: write next to the target, then rename. A crashed or
-/// ctrl-C'd bench run never leaves a truncated JSON for CI to trip over.
-fn write_atomic(path: &str, contents: &str) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).unwrap_or_else(|e| panic!("write {tmp}: {e}"));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp} -> {path}: {e}"));
 }
 
 fn main() {

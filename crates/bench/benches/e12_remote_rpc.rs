@@ -16,6 +16,7 @@
 //! * `frame_encode_ns` — `encode_frame` of a typical request payload, the
 //!   codec's own contribution to the round trip.
 
+use cca_bench::{measure_min, write_atomic};
 use cca_rpc::frame::{encode_frame, FrameKind, DEFAULT_MAX_PAYLOAD};
 use cca_rpc::transport::Dispatcher;
 use cca_rpc::{ObjRef, Orb, TcpServer, TcpTransport, Transport};
@@ -36,46 +37,6 @@ impl DynObject for Echo {
             other => Err(SidlError::invoke(format!("no method '{other}'"))),
         }
     }
-}
-
-/// Minimum ns/iter over `samples` batches, each auto-calibrated to roughly
-/// `target` wall-clock (the in-process quantities use the hot floor, as in
-/// E10/E11).
-fn measure_min<R>(samples: usize, target: Duration, mut f: impl FnMut() -> R) -> f64 {
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= target || iters >= 1 << 28 {
-            break;
-        }
-        iters = if elapsed.is_zero() {
-            iters * 16
-        } else {
-            let scale = target.as_secs_f64() / elapsed.as_secs_f64();
-            ((iters as f64 * scale.clamp(1.2, 16.0)) as u64).max(iters + 1)
-        };
-    }
-    (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Atomic publication: write next to the target, then rename. A crashed or
-/// ctrl-C'd bench run never leaves a truncated JSON for CI to trip over.
-fn write_atomic(path: &str, contents: &str) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).unwrap_or_else(|e| panic!("write {tmp}: {e}"));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp} -> {path}: {e}"));
 }
 
 fn main() {

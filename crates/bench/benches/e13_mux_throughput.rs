@@ -29,6 +29,7 @@
 //! is the proof), and mux throughput beats the pool baseline at this
 //! concurrency.
 
+use cca_bench::{extract_num, write_atomic};
 use cca_rpc::transport::Dispatcher;
 use cca_rpc::{MuxServer, MuxTransport, ObjRef, Orb, TcpServer, TcpTransport, Transport};
 use cca_sidl::{DynObject, DynValue, SidlError};
@@ -47,26 +48,6 @@ impl DynObject for Echo {
             other => Err(SidlError::invoke(format!("no method '{other}'"))),
         }
     }
-}
-
-/// Pulls `"key": <number>` out of a JSON text by hand (the workspace
-/// vendors no serde); `None` when the key is absent or non-numeric.
-fn extract_num(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Atomic publication: write next to the target, then rename. A crashed or
-/// ctrl-C'd bench run never leaves a truncated JSON for CI to trip over.
-fn write_atomic(path: &str, contents: &str) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).unwrap_or_else(|e| panic!("write {tmp}: {e}"));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp} -> {path}: {e}"));
 }
 
 fn main() {

@@ -56,6 +56,7 @@
 //! capability estimate, and taking it uniformly across all three paths
 //! keeps the ratios fair.
 
+use cca_bench::write_atomic;
 use cca_data::{CompiledPlan, DistArrayDesc, Distribution, NdArray, RedistPlan};
 use cca_framework::{BulkLandingZone, BulkRedistSender};
 use cca_rpc::transport::Dispatcher;
@@ -230,15 +231,6 @@ fn raw_wire_floor(total_bytes: usize, iters: usize) -> f64 {
     let gbps = (total_bytes * iters) as f64 / start.elapsed().as_secs_f64() / 1e9;
     server.join().expect("raw probe server");
     gbps
-}
-
-/// Atomic publication: write next to the target, then rename. A crashed
-/// or ctrl-C'd bench run never leaves a truncated JSON for CI to trip
-/// over.
-fn write_atomic(path: &str, contents: &str) {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, contents).unwrap_or_else(|e| panic!("write {tmp}: {e}"));
-    std::fs::rename(&tmp, path).unwrap_or_else(|e| panic!("rename {tmp} -> {path}: {e}"));
 }
 
 fn fmt_list(xs: &[f64]) -> String {

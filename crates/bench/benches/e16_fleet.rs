@@ -22,6 +22,7 @@
 //! waitpid-style reap), none of the fork/exec noise, so the number is
 //! the *framework's* recovery latency floor.
 
+use cca_bench::median;
 use cca_core::resilience::SystemClock;
 use cca_framework::fleet::{
     FleetConfig, FleetHub, FleetSupervisor, HubLink, LaunchSpec, ProcessHandle, RankLauncher,
@@ -34,11 +35,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const RANKS: usize = 4;
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
-}
 
 /// 4-rank sum-allreduce latency on the thread substrate, ns.
 fn thread_allreduce_ns(iters: usize) -> f64 {

@@ -21,6 +21,7 @@
 //!   readers don't collapse (≥1.2x on 2–3 cores, ≥0.4x on 1), same
 //!   core-count-branched gating as E12's proxy fan-out.
 
+use cca_bench::median;
 use cca_core::{CcaError, CcaServices, Component};
 use cca_data::TypeMap;
 use cca_repository::{ComponentEntry, FuzzyQuery, PortSpec, Repository};
@@ -145,11 +146,6 @@ fn entry_of(i: usize) -> ComponentEntry {
     }
 }
 
-fn p50(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v[v.len() / 2]
-}
-
 fn main() {
     let fast = std::env::var_os("CCA_BENCH_FAST").is_some();
     let (types, exact_samples, fuzzy_reps, flat_reps, qps_queries) = if fast {
@@ -185,7 +181,7 @@ fn main() {
         samples.push(start.elapsed().as_secs_f64() * 1e9);
         std::hint::black_box(e);
     }
-    let exact_ns = p50(samples);
+    let exact_ns = median(samples);
 
     // --- the seed baseline: flat map + per-entry lowering ---------------
     // The flat exact path (BTreeMap::get) was never the problem; the scan
@@ -201,7 +197,7 @@ fn main() {
         std::hint::black_box(flat.get(&class));
         samples.push(start.elapsed().as_secs_f64() * 1e9);
     }
-    let flat_exact_ns = p50(samples);
+    let flat_exact_ns = median(samples);
 
     let mut samples = Vec::new();
     for _ in 0..flat_reps {
@@ -219,7 +215,7 @@ fn main() {
             std::hint::black_box(hits);
         }
     }
-    let flat_scan_us = p50(samples);
+    let flat_scan_us = median(samples);
     drop(flat);
 
     // --- fuzzy query p50 ------------------------------------------------
@@ -232,7 +228,7 @@ fn main() {
             std::hint::black_box(page);
         }
     }
-    let fuzzy_us = p50(samples);
+    let fuzzy_us = median(samples);
     let scan_speedup = flat_scan_us / fuzzy_us;
 
     // --- concurrent query throughput ------------------------------------

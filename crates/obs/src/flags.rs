@@ -7,14 +7,12 @@
 //! stay within noise of PR 1's uninstrumented `CachedPort` call (gated at
 //! ≤1.1× by `benches/e10_obs_overhead.rs`).
 //!
-//! Each facility is gated three ways, strongest first:
+//! Each facility is gated two ways, with no feature flags and no
+//! rebuilds:
 //!
-//! 1. **compile time** — the `trace`/`counters` cargo features; with a
-//!    feature off the corresponding `*_enabled()` is a constant `false`
-//!    and the instrumentation folds away entirely;
-//! 2. **environment** — [`init_from_env`] reads `CCA_TRACE` and
+//! 1. **environment** — [`init_from_env`] reads `CCA_TRACE` and
 //!    `CCA_METRICS` once (any value other than empty or `0` enables);
-//! 3. **runtime** — [`set_tracing`]/[`set_counters`] flip bits live, which
+//! 2. **runtime** — [`set_tracing`]/[`set_counters`] flip bits live, which
 //!    is how `MonitorPort` or a bench turns collection on mid-run.
 
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -41,14 +39,14 @@ fn flags() -> u32 {
 /// True if the tracer should record. One relaxed atomic load.
 #[inline(always)]
 pub fn tracing_enabled() -> bool {
-    cfg!(feature = "trace") && flags() & TRACING != 0
+    flags() & TRACING != 0
 }
 
 /// True if per-port counters/histograms should record. One relaxed
 /// atomic load.
 #[inline(always)]
 pub fn counters_enabled() -> bool {
-    cfg!(feature = "counters") && flags() & COUNTERS != 0
+    flags() & COUNTERS != 0
 }
 
 fn set_bit(bit: u32, on: bool) {

@@ -18,30 +18,31 @@ counter_block! {
     /// (see [`fleet()`]).
     pub struct FleetCounters;
     /// A point-in-time copy of [`FleetCounters`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct FleetSnapshot;
     /// The process-wide fleet counters.
     pub fn fleet();
 
     /// Checkpoints promoted to committed.
-    checkpoints_committed: /// Records a checkpoint promoted to committed.
+    counter checkpoints_committed: /// Records a checkpoint promoted to committed.
         fn record_checkpoint_committed();
     /// Rank deaths detected (connection death / waitpid).
-    deaths: /// Records a detected rank death.
+    counter deaths: /// Records a detected rank death.
         fn record_death();
     /// Group generation bumps (each non-clean disconnect forces one).
-    generation_bumps: /// Records a group generation bump.
+    counter generation_bumps: /// Records a group generation bump.
         fn record_generation_bump();
     /// Child processes launched (first launches and restarts).
-    launches: /// Records a child-process launch.
+    counter launches: /// Records a child-process launch.
         fn record_launch();
     /// Messages relayed through the hub.
-    messages_relayed: /// Records one message relayed through the hub.
+    counter messages_relayed: /// Records one message relayed through the hub.
         fn record_message_relayed();
     /// Ranks rejoined after restart.
-    rejoins: /// Records a completed post-restart rejoin.
+    counter rejoins: /// Records a completed post-restart rejoin.
         fn record_rejoin();
     /// Restarts scheduled under backoff.
-    restarts: /// Records a restart scheduled under backoff.
+    counter restarts: /// Records a restart scheduled under backoff.
         fn record_restart();
 }
 

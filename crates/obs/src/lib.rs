@@ -10,14 +10,18 @@
 //!   hook in `cca-core`/`cca-rpc` is guarded by a single **relaxed load**
 //!   of this word, so the steady-state direct-connect call path (PR 1's
 //!   `CachedPort`) pays one predictable branch when observability is off.
-//!   Both facilities are additionally compile-time gated by the `trace`
-//!   and `counters` cargo features and env-gated via `CCA_TRACE` /
-//!   `CCA_METRICS` (see [`init_from_env`]).
+//!   Both facilities are also env-gated via `CCA_TRACE` / `CCA_METRICS`
+//!   (see [`init_from_env`]); there are no cargo features.
 //! * [`metrics`] — per-port invocation counters, connect/disconnect
-//!   churn, fan-out width, and fixed-bucket log2 latency histograms. The
-//!   record path is allocation-free: relaxed atomics only. Call counting
-//!   from `CachedPort` uses single-writer [`metrics::CallShard`]s so the
+//!   churn, fan-out width, and fixed-bucket log2 latency histograms; RPC
+//!   transport, mux-depth and bulk data-plane blocks. The record path is
+//!   allocation-free: relaxed atomics only. Call counting from
+//!   `CachedPort` uses single-writer [`metrics::CallShard`]s so the
 //!   per-call cost is one relaxed store, not an atomic RMW.
+//! * [`resilience`], [`repo`], [`fleet`] — process-global counter
+//!   blocks. Every atomic counter block in this crate, global or
+//!   per-instance, is one `counter_block!` declaration that generates
+//!   its getters, snapshot, JSON, `reset` and `Debug`.
 //! * [`trace`] — a distributed span/event tracer: a lock-free
 //!   single-writer seqlock ring per thread, per-process seeded
 //!   trace/span ids with parent links, a thread-local current-span cell

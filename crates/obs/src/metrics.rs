@@ -18,6 +18,7 @@
 //!   shards; no increments are ever lost because each shard has exactly
 //!   one writer (`CachedPort::get` takes `&mut self`).
 
+use crate::counter_block::{counter_block, JsonValue};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,11 +147,32 @@ impl LatencySnapshot {
     }
 }
 
+impl JsonValue for LatencySnapshot {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.to_json());
+    }
+}
+
+/// `(method, round_trips)` pairs render as one JSON object.
+impl JsonValue for Vec<(String, u64)> {
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (method, n)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{}\":{n}", crate::trace::escape_json(method)));
+        }
+        out.push('}');
+    }
+}
+
 /// A single-writer call counter cell.
 ///
 /// Exactly one `CachedPort` owns a shard and bumps it with a relaxed
 /// load+store (no RMW); any reader may sum shards at any time. Shards
 /// outlive their writer so counts survive reconnection churn.
+#[derive(Default)]
 pub struct CallShard {
     count: AtomicU64,
 }
@@ -172,51 +194,55 @@ impl CallShard {
     }
 }
 
-/// Metrics of one port-table slot (a uses slot or a provides handle).
-///
-/// Lives behind an `Arc` inside the slot so copy-on-write snapshot
-/// republication (PR 1's `Arc`-snapshot tables) shares one instance across
-/// generations: counters survive reconnects, and readers never block
-/// writers.
-///
-/// Connection-shape metrics (connects, disconnects, churn, fan-out) are
-/// recorded **unconditionally** — they change only on rare table mutations.
-/// Per-call metrics (calls, latency) are gated behind
-/// [`crate::counters_enabled`] by the callers in `cca-core`.
-pub struct PortMetrics {
-    direct_calls: AtomicU64,
-    connects: AtomicU64,
-    disconnects: AtomicU64,
-    churn: AtomicU64,
-    fan_out: AtomicU64,
-    max_fan_out: AtomicU64,
-    resolutions: AtomicU64,
-    latency: LatencyHistogram,
-    shards: Mutex<Vec<Arc<CallShard>>>,
+counter_block! {
+    /// Metrics of one port-table slot (a uses slot or a provides handle).
+    ///
+    /// Lives behind an `Arc` inside the slot so copy-on-write snapshot
+    /// republication of the port tables shares one instance across
+    /// generations: counters survive reconnects, and readers never block
+    /// writers.
+    ///
+    /// Connection-shape metrics (connects, disconnects, churn, fan-out) are
+    /// recorded **unconditionally** — they change only on rare table
+    /// mutations. Per-call metrics (calls, latency) are gated behind
+    /// [`crate::counters_enabled`] by the callers in `cca-core`.
+    pub struct PortMetrics {
+        /// Slow-path calls. Unlike the shards it has many writers, so it
+        /// counts with `fetch_add`.
+        direct_calls: CallShard,
+        latency: LatencyHistogram,
+        shards: Mutex<Vec<Arc<CallShard>>>,
+    }
+    /// A point-in-time copy of one port's [`PortMetrics`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PortMetricsSnapshot {
+        /// Total invocations observed (cached shards + slow path).
+        calls: u64 = |m| m.calls(),
+        ..,
+        /// Call latency histogram (populated only by timed paths).
+        latency: LatencySnapshot = |m| m.latency.snapshot()
+    }
+
+    /// Connections attached over the slot's lifetime.
+    counter connects;
+    /// Connections detached over the slot's lifetime.
+    counter disconnects;
+    /// Table mutations that touched this slot (generation churn).
+    counter churn;
+    /// Current listener-list width.
+    gauge fan_out;
+    /// High-water listener-list width.
+    peak max_fan_out;
+    /// Successful resolutions (`getPort` + downcast, or provides hand-outs).
+    counter resolutions: /// Counts one successful port resolution (`getPort`/downcast).
+        fn record_resolution();
 }
 
 impl PortMetrics {
-    /// Creates a zeroed metrics block.
-    pub fn new() -> Arc<Self> {
-        Arc::new(PortMetrics {
-            direct_calls: AtomicU64::new(0),
-            connects: AtomicU64::new(0),
-            disconnects: AtomicU64::new(0),
-            churn: AtomicU64::new(0),
-            fan_out: AtomicU64::new(0),
-            max_fan_out: AtomicU64::new(0),
-            resolutions: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
-            shards: Mutex::new(Vec::new()),
-        })
-    }
-
     /// Registers a new single-writer call shard (used by `CachedPort` at
     /// resolution time — off the per-call path).
     pub fn call_shard(&self) -> Arc<CallShard> {
-        let shard = Arc::new(CallShard {
-            count: AtomicU64::new(0),
-        });
+        let shard = Arc::new(CallShard::default());
         self.shards.lock().push(Arc::clone(&shard));
         shard
     }
@@ -224,13 +250,7 @@ impl PortMetrics {
     /// Counts one invocation on the slow (uncached) path.
     #[inline]
     pub fn record_direct_call(&self) {
-        self.direct_calls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one successful port resolution (`getPort`/downcast).
-    #[inline]
-    pub fn record_resolution(&self) {
-        self.resolutions.fetch_add(1, Ordering::Relaxed);
+        self.direct_calls.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one call latency sample into the log2 histogram.
@@ -259,7 +279,7 @@ impl PortMetrics {
     /// Total calls: the slow-path counter plus every shard.
     pub fn calls(&self) -> u64 {
         let sharded: u64 = self.shards.lock().iter().map(|s| s.value()).sum();
-        self.direct_calls.load(Ordering::Relaxed) + sharded
+        self.direct_calls.value() + sharded
     }
 
     /// The latency histogram (for direct recording by instrumented
@@ -267,92 +287,50 @@ impl PortMetrics {
     pub fn latency(&self) -> &LatencyHistogram {
         &self.latency
     }
+}
 
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> PortMetricsSnapshot {
-        PortMetricsSnapshot {
-            calls: self.calls(),
-            connects: self.connects.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-            churn: self.churn.load(Ordering::Relaxed),
-            fan_out: self.fan_out.load(Ordering::Relaxed),
-            max_fan_out: self.max_fan_out.load(Ordering::Relaxed),
-            resolutions: self.resolutions.load(Ordering::Relaxed),
-            latency: self.latency.snapshot(),
-        }
+counter_block! {
+    /// RPC transport metrics: payload bytes each way, round trips,
+    /// per-method round-trip counts, and a round-trip latency histogram.
+    /// Lives on the ORB (server side counts at dispatch) and on each
+    /// `ObjRef` (client side), so E3's ORB baseline and the direct-connect
+    /// path report comparable numbers.
+    pub struct TransportMetrics {
+        latency: LatencyHistogram,
+        per_method: Mutex<BTreeMap<String, u64>>,
     }
-}
-
-impl std::fmt::Debug for PortMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PortMetrics")
-            .field("calls", &self.calls())
-            .field("fan_out", &self.fan_out.load(Ordering::Relaxed))
-            .field("churn", &self.churn.load(Ordering::Relaxed))
-            .finish()
+    /// A point-in-time copy of [`TransportMetrics`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TransportSnapshot {
+        ..,
+        /// `(method, round_trips)` sorted by method name.
+        per_method: Vec<(String, u64)> = |m| {
+            m.per_method.lock().iter().map(|(k, v)| (k.clone(), *v)).collect()
+        },
+        /// Round-trip latency histogram.
+        latency: LatencySnapshot = |m| m.latency.snapshot()
     }
-}
 
-/// A point-in-time copy of one port's [`PortMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortMetricsSnapshot {
-    /// Total invocations observed (cached shards + slow path).
-    pub calls: u64,
-    /// Connections attached over the slot's lifetime.
-    pub connects: u64,
-    /// Connections detached over the slot's lifetime.
-    pub disconnects: u64,
-    /// Table mutations that touched this slot (generation churn).
-    pub churn: u64,
-    /// Current listener-list width.
-    pub fan_out: u64,
-    /// High-water listener-list width.
-    pub max_fan_out: u64,
-    /// Successful resolutions (`getPort` + downcast, or provides hand-outs).
-    pub resolutions: u64,
-    /// Call latency histogram (populated only by timed paths).
-    pub latency: LatencySnapshot,
-}
-
-impl PortMetricsSnapshot {
-    /// JSON rendering (object; stable key order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"calls\":{},\"connects\":{},\"disconnects\":{},\"churn\":{},\
-             \"fan_out\":{},\"max_fan_out\":{},\"resolutions\":{},\"latency\":{}}}",
-            self.calls,
-            self.connects,
-            self.disconnects,
-            self.churn,
-            self.fan_out,
-            self.max_fan_out,
-            self.resolutions,
-            self.latency.to_json()
-        )
-    }
-}
-
-/// RPC transport metrics: payload bytes each way, round trips, per-method
-/// round-trip counts, and a round-trip latency histogram. Lives on the ORB
-/// (server side counts at dispatch) and on each `ObjRef` (client side), so
-/// E3's ORB baseline and the direct-connect path report comparable numbers.
-#[derive(Default)]
-pub struct TransportMetrics {
-    round_trips: AtomicU64,
-    bytes_out: AtomicU64,
-    bytes_in: AtomicU64,
-    dials: AtomicU64,
-    connection_drops: AtomicU64,
-    latency: LatencyHistogram,
-    per_method: Mutex<BTreeMap<String, u64>>,
+    /// Request/reply exchanges.
+    counter round_trips;
+    /// Marshaled request bytes sent.
+    counter bytes_out;
+    /// Marshaled reply bytes received.
+    counter bytes_in;
+    /// Socket dial attempts (0 for in-process transports).
+    counter dials: /// Records one socket dial attempt (successful or not). Like
+        /// connection churn in [`PortMetrics`], dials are rare structural
+        /// events and are recorded unconditionally — not gated by
+        /// [`crate::counters_enabled`].
+        fn record_dial();
+    /// Connections discarded after errors.
+    counter connection_drops: /// Records one connection discarded after an error (the peer
+        /// hung up, a frame was malformed, or a timeout fired).
+        /// Unconditional, like [`record_dial`](Self::record_dial).
+        fn record_connection_drop();
 }
 
 impl TransportMetrics {
-    /// Creates a zeroed block.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
     /// Records one request/reply exchange. The per-method map may allocate
     /// on first sight of a method name — acceptable on the RPC path, which
     /// marshals into fresh buffers anyway.
@@ -369,151 +347,54 @@ impl TransportMetrics {
             }
         }
     }
-
-    /// Total exchanges.
-    pub fn round_trips(&self) -> u64 {
-        self.round_trips.load(Ordering::Relaxed)
-    }
-
-    /// Records one socket dial attempt (successful or not). Like connection
-    /// churn in [`PortMetrics`], dials are rare structural events and are
-    /// recorded unconditionally — not gated by [`crate::counters_enabled`].
-    pub fn record_dial(&self) {
-        self.dials.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one connection discarded after an error (the peer hung up,
-    /// a frame was malformed, or a timeout fired). Unconditional, like
-    /// [`record_dial`](Self::record_dial).
-    pub fn record_connection_drop(&self) {
-        self.connection_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Socket dial attempts so far.
-    pub fn dials(&self) -> u64 {
-        self.dials.load(Ordering::Relaxed)
-    }
-
-    /// Connections discarded after errors so far.
-    pub fn connection_drops(&self) -> u64 {
-        self.connection_drops.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> TransportSnapshot {
-        TransportSnapshot {
-            round_trips: self.round_trips.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            dials: self.dials.load(Ordering::Relaxed),
-            connection_drops: self.connection_drops.load(Ordering::Relaxed),
-            latency: self.latency.snapshot(),
-            per_method: self
-                .per_method
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for TransportMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TransportMetrics")
-            .field("round_trips", &self.round_trips())
-            .finish()
-    }
-}
-
-/// A point-in-time copy of [`TransportMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransportSnapshot {
-    /// Request/reply exchanges.
-    pub round_trips: u64,
-    /// Marshaled request bytes sent.
-    pub bytes_out: u64,
-    /// Marshaled reply bytes received.
-    pub bytes_in: u64,
-    /// Socket dial attempts (0 for in-process transports).
-    pub dials: u64,
-    /// Connections discarded after errors.
-    pub connection_drops: u64,
-    /// Round-trip latency histogram.
-    pub latency: LatencySnapshot,
-    /// `(method, round_trips)` sorted by method name.
-    pub per_method: Vec<(String, u64)>,
-}
-
-impl TransportSnapshot {
-    /// JSON rendering.
-    pub fn to_json(&self) -> String {
-        let methods = self
-            .per_method
-            .iter()
-            .map(|(m, n)| format!("\"{}\":{n}", crate::trace::escape_json(m)))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"round_trips\":{},\"bytes_out\":{},\"bytes_in\":{},\
-             \"dials\":{},\"connection_drops\":{},\
-             \"per_method\":{{{methods}}},\"latency\":{}}}",
-            self.round_trips,
-            self.bytes_out,
-            self.bytes_in,
-            self.dials,
-            self.connection_drops,
-            self.latency.to_json()
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Multiplexed-transport metrics
 // ---------------------------------------------------------------------------
 
-/// Depth and backpressure metrics for a multiplexed transport endpoint.
-///
-/// A mux client shares a handful of sockets among many concurrent logical
-/// callers, and a mux server buffers replies per connection — so the
-/// interesting quantities are *depths*, not rates: how many calls are in
-/// flight right now (and the high-water mark), how many reply bytes are
-/// queued waiting for slow peers, and how often backpressure paused
-/// reading a connection. Every record path is a relaxed atomic,
-/// allocation-free, matching the [`PortMetrics`] contract.
-#[derive(Default)]
-pub struct MuxMetrics {
-    in_flight: AtomicU64,
-    peak_in_flight: AtomicU64,
-    queued_bytes: AtomicU64,
-    peak_queued_bytes: AtomicU64,
-    paused_connections: AtomicU64,
-    pause_events: AtomicU64,
-    protocol_violations: AtomicU64,
-}
+counter_block! {
+    /// Depth and backpressure metrics for a multiplexed transport endpoint.
+    ///
+    /// A mux client shares a handful of sockets among many concurrent
+    /// logical callers, and a mux server buffers replies per connection —
+    /// so the interesting quantities are *depths*, not rates: how many
+    /// calls are in flight right now (and the high-water mark), how many
+    /// reply bytes are queued waiting for slow peers, and how often
+    /// backpressure paused reading a connection. Every record path is a
+    /// relaxed atomic, allocation-free, matching the [`PortMetrics`]
+    /// contract.
+    pub struct MuxMetrics;
+    /// A point-in-time copy of [`MuxMetrics`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MuxSnapshot;
 
-/// Lock-free running maximum: raise `peak` to at least `value`.
-fn raise_peak(peak: &AtomicU64, value: u64) {
-    let mut seen = peak.load(Ordering::Relaxed);
-    while value > seen {
-        match peak.compare_exchange_weak(seen, value, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(now) => seen = now,
-        }
-    }
+    /// Calls in flight (registered with the completion router, not yet
+    /// answered).
+    gauge in_flight;
+    /// High-water mark of concurrent in-flight calls.
+    peak peak_in_flight;
+    /// Reply bytes queued behind slow peers.
+    gauge queued_bytes;
+    /// High-water mark of queued reply bytes.
+    peak peak_queued_bytes;
+    /// Connections paused by backpressure.
+    gauge paused_connections;
+    /// Times a connection newly entered the paused state.
+    counter pause_events;
+    /// Mux protocol violations (each cost its peer the connection).
+    counter protocol_violations: /// A peer violated the mux protocol (unknown or
+        /// already-completed request id, wrong frame kind) and its
+        /// connection was dropped.
+        fn record_protocol_violation();
 }
 
 impl MuxMetrics {
-    /// Creates a zeroed block.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
     /// A call entered the in-flight set (registered with the completion
     /// router, not yet answered).
     pub fn record_begin(&self) {
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        raise_peak(&self.peak_in_flight, now);
+        self.peak_in_flight.fetch_max(now, Ordering::Relaxed);
     }
 
     /// A call left the in-flight set (completed, failed, or abandoned).
@@ -525,7 +406,7 @@ impl MuxMetrics {
     /// across all connections.
     pub fn set_queued_bytes(&self, bytes: u64) {
         self.queued_bytes.store(bytes, Ordering::Relaxed);
-        raise_peak(&self.peak_queued_bytes, bytes);
+        self.peak_queued_bytes.fetch_max(bytes, Ordering::Relaxed);
     }
 
     /// Publishes how many connections currently have reads paused by
@@ -537,139 +418,53 @@ impl MuxMetrics {
                 .fetch_add(now_paused - before, Ordering::Relaxed);
         }
     }
-
-    /// A peer violated the mux protocol (unknown or already-completed
-    /// request id, wrong frame kind) and its connection was dropped.
-    pub fn record_protocol_violation(&self) {
-        self.protocol_violations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Calls in flight right now.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of concurrent in-flight calls.
-    pub fn peak_in_flight(&self) -> u64 {
-        self.peak_in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Reply bytes currently queued behind slow peers.
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently paused by backpressure.
-    pub fn paused_connections(&self) -> u64 {
-        self.paused_connections.load(Ordering::Relaxed)
-    }
-
-    /// Times a connection newly entered the paused state.
-    pub fn pause_events(&self) -> u64 {
-        self.pause_events.load(Ordering::Relaxed)
-    }
-
-    /// Protocol violations observed so far.
-    pub fn protocol_violations(&self) -> u64 {
-        self.protocol_violations.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> MuxSnapshot {
-        MuxSnapshot {
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            peak_in_flight: self.peak_in_flight.load(Ordering::Relaxed),
-            queued_bytes: self.queued_bytes.load(Ordering::Relaxed),
-            peak_queued_bytes: self.peak_queued_bytes.load(Ordering::Relaxed),
-            paused_connections: self.paused_connections.load(Ordering::Relaxed),
-            pause_events: self.pause_events.load(Ordering::Relaxed),
-            protocol_violations: self.protocol_violations.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl std::fmt::Debug for MuxMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MuxMetrics")
-            .field("in_flight", &self.in_flight())
-            .field("peak_in_flight", &self.peak_in_flight())
-            .finish()
-    }
-}
-
-/// A point-in-time copy of [`MuxMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MuxSnapshot {
-    /// Calls in flight at snapshot time.
-    pub in_flight: u64,
-    /// High-water mark of concurrent in-flight calls.
-    pub peak_in_flight: u64,
-    /// Reply bytes queued behind slow peers at snapshot time.
-    pub queued_bytes: u64,
-    /// High-water mark of queued reply bytes.
-    pub peak_queued_bytes: u64,
-    /// Connections paused by backpressure at snapshot time.
-    pub paused_connections: u64,
-    /// Times a connection newly entered the paused state.
-    pub pause_events: u64,
-    /// Mux protocol violations (each cost its peer the connection).
-    pub protocol_violations: u64,
-}
-
-impl MuxSnapshot {
-    /// JSON rendering.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"in_flight\":{},\"peak_in_flight\":{},\"queued_bytes\":{},\
-             \"peak_queued_bytes\":{},\"paused_connections\":{},\
-             \"pause_events\":{},\"protocol_violations\":{}}}",
-            self.in_flight,
-            self.peak_in_flight,
-            self.queued_bytes,
-            self.peak_queued_bytes,
-            self.paused_connections,
-            self.pause_events,
-            self.protocol_violations
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Bulk data-plane metrics
 // ---------------------------------------------------------------------------
 
-/// Throughput and resume bookkeeping for the bulk data plane.
-///
-/// Bulk redistribution streams raw array slabs, so the interesting
-/// quantities are *bytes and chunks*: how much payload went out and
-/// landed, how many chunks were retransmitted after a connection drop
-/// (each resume should cost at most one chunk per in-flight transfer),
-/// and the largest single gather buffer a sender ever held — the
-/// memory-boundedness claim of experiment E15 is "peak is one chunk,
-/// not the array". Every record path is a relaxed atomic,
-/// allocation-free, matching the [`PortMetrics`] contract.
-#[derive(Default)]
-pub struct BulkMetrics {
-    bytes_sent: AtomicU64,
-    bytes_landed: AtomicU64,
-    chunks_sent: AtomicU64,
-    chunks_landed: AtomicU64,
-    resumed_chunks: AtomicU64,
-    peak_chunk_bytes: AtomicU64,
+counter_block! {
+    /// Throughput and resume bookkeeping for the bulk data plane.
+    ///
+    /// Bulk redistribution streams raw array slabs, so the interesting
+    /// quantities are *bytes and chunks*: how much payload went out and
+    /// landed, how many chunks were retransmitted after a connection drop
+    /// (each resume should cost at most one chunk per in-flight transfer),
+    /// and the largest single gather buffer a sender ever held — the
+    /// memory-boundedness claim of experiment E15 is "peak is one chunk,
+    /// not the array". Every record path is a relaxed atomic,
+    /// allocation-free, matching the [`PortMetrics`] contract.
+    pub struct BulkMetrics;
+    /// A point-in-time copy of [`BulkMetrics`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BulkSnapshot;
+
+    /// Payload bytes sent (slab headers excluded).
+    counter bytes_sent;
+    /// Payload bytes landed into destination storage.
+    counter bytes_landed;
+    /// Slab chunks sent.
+    counter chunks_sent;
+    /// Slab chunks landed.
+    counter chunks_landed;
+    /// Chunks retransmitted after failure resumes.
+    counter resumed_chunks: /// A sender re-entered a transfer after a failure and will
+        /// resend from the acked watermark; `chunks` is how many chunks it
+        /// re-sends.
+        fn record_resume(chunks);
+    /// Largest sender gather buffer observed (bytes).
+    peak peak_chunk_bytes;
 }
 
 impl BulkMetrics {
-    /// Creates a zeroed block.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
     /// A sender put one slab of `payload_bytes` element bytes on the wire
     /// (header excluded), holding a gather buffer of `buffer_bytes`.
     pub fn record_chunk_sent(&self, payload_bytes: u64, buffer_bytes: u64) {
         self.bytes_sent.fetch_add(payload_bytes, Ordering::Relaxed);
         self.chunks_sent.fetch_add(1, Ordering::Relaxed);
-        raise_peak(&self.peak_chunk_bytes, buffer_bytes);
+        self.peak_chunk_bytes
+            .fetch_max(buffer_bytes, Ordering::Relaxed);
     }
 
     /// A receiver scattered one slab of `payload_bytes` element bytes into
@@ -678,96 +473,6 @@ impl BulkMetrics {
         self.bytes_landed
             .fetch_add(payload_bytes, Ordering::Relaxed);
         self.chunks_landed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A sender re-entered a transfer after a failure and will resend from
-    /// the acked watermark; `chunks` is how many chunks it re-sends.
-    pub fn record_resume(&self, chunks: u64) {
-        self.resumed_chunks.fetch_add(chunks, Ordering::Relaxed);
-    }
-
-    /// Payload bytes sent so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes landed into destination storage so far.
-    pub fn bytes_landed(&self) -> u64 {
-        self.bytes_landed.load(Ordering::Relaxed)
-    }
-
-    /// Chunks sent so far.
-    pub fn chunks_sent(&self) -> u64 {
-        self.chunks_sent.load(Ordering::Relaxed)
-    }
-
-    /// Chunks landed so far.
-    pub fn chunks_landed(&self) -> u64 {
-        self.chunks_landed.load(Ordering::Relaxed)
-    }
-
-    /// Chunks retransmitted across all resumes.
-    pub fn resumed_chunks(&self) -> u64 {
-        self.resumed_chunks.load(Ordering::Relaxed)
-    }
-
-    /// Largest gather buffer any sender held (bytes).
-    pub fn peak_chunk_bytes(&self) -> u64 {
-        self.peak_chunk_bytes.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy.
-    pub fn snapshot(&self) -> BulkSnapshot {
-        BulkSnapshot {
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_landed: self.bytes_landed.load(Ordering::Relaxed),
-            chunks_sent: self.chunks_sent.load(Ordering::Relaxed),
-            chunks_landed: self.chunks_landed.load(Ordering::Relaxed),
-            resumed_chunks: self.resumed_chunks.load(Ordering::Relaxed),
-            peak_chunk_bytes: self.peak_chunk_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl std::fmt::Debug for BulkMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BulkMetrics")
-            .field("bytes_sent", &self.bytes_sent())
-            .field("chunks_sent", &self.chunks_sent())
-            .finish()
-    }
-}
-
-/// A point-in-time copy of [`BulkMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BulkSnapshot {
-    /// Payload bytes sent (slab headers excluded).
-    pub bytes_sent: u64,
-    /// Payload bytes landed into destination storage.
-    pub bytes_landed: u64,
-    /// Slab chunks sent.
-    pub chunks_sent: u64,
-    /// Slab chunks landed.
-    pub chunks_landed: u64,
-    /// Chunks retransmitted after failure resumes.
-    pub resumed_chunks: u64,
-    /// Largest sender gather buffer observed (bytes).
-    pub peak_chunk_bytes: u64,
-}
-
-impl BulkSnapshot {
-    /// JSON rendering.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bytes_sent\":{},\"bytes_landed\":{},\"chunks_sent\":{},\
-             \"chunks_landed\":{},\"resumed_chunks\":{},\"peak_chunk_bytes\":{}}}",
-            self.bytes_sent,
-            self.bytes_landed,
-            self.chunks_sent,
-            self.chunks_landed,
-            self.resumed_chunks,
-            self.peak_chunk_bytes
-        )
     }
 }
 
@@ -905,6 +610,15 @@ mod tests {
         assert_eq!(s.protocol_violations, 1);
         assert!(s.to_json().contains("\"peak_in_flight\":3"));
         assert!(format!("{m:?}").contains("in_flight"));
+
+        // Reset clears history (counters, peaks) but not live state: the
+        // two calls still in flight end later and must not underflow.
+        m.reset();
+        assert_eq!(m.in_flight(), 2);
+        assert_eq!(m.queued_bytes(), 128);
+        assert_eq!(m.peak_in_flight(), 0);
+        assert_eq!(m.pause_events(), 0);
+        assert_eq!(m.protocol_violations(), 0);
     }
 
     #[test]
@@ -928,5 +642,106 @@ mod tests {
         assert_eq!(s.chunks_sent, 2);
         assert!(s.to_json().contains("\"peak_chunk_bytes\":1048608"));
         assert!(format!("{b:?}").contains("bytes_sent"));
+    }
+
+    // Golden renderings: the JSON of every snapshot is a scrape contract
+    // (`MonitorPort.metricsJson`/`snapshotJson`, flight incidents), so it
+    // is pinned byte for byte with fixed inputs.
+
+    #[test]
+    fn latency_json_is_golden() {
+        let h = LatencyHistogram::new();
+        assert_eq!(
+            h.snapshot().to_json(),
+            "{\"count\":0,\"sum_ns\":0,\"mean_ns\":0.0,\"log2_buckets\":[]}"
+        );
+        h.record_ns(3);
+        h.record_ns(1000);
+        h.record_ns(1024);
+        assert_eq!(
+            h.snapshot().to_json(),
+            "{\"count\":3,\"sum_ns\":2027,\"mean_ns\":675.7,\
+             \"log2_buckets\":[[1,1],[9,1],[10,1]]}"
+        );
+    }
+
+    #[test]
+    fn port_metrics_json_is_golden() {
+        let m = PortMetrics::new();
+        m.record_direct_call();
+        m.record_direct_call();
+        let shard = m.call_shard();
+        for _ in 0..3 {
+            shard.bump();
+        }
+        m.record_connect(1);
+        m.record_connect(2);
+        m.record_disconnect(1, 1);
+        for _ in 0..4 {
+            m.record_resolution();
+        }
+        m.record_latency_ns(1000);
+        assert_eq!(
+            m.snapshot().to_json(),
+            "{\"calls\":5,\"connects\":2,\"disconnects\":1,\"churn\":3,\
+             \"fan_out\":1,\"max_fan_out\":2,\"resolutions\":4,\
+             \"latency\":{\"count\":1,\"sum_ns\":1000,\"mean_ns\":1000.0,\
+             \"log2_buckets\":[[9,1]]}}"
+        );
+    }
+
+    #[test]
+    fn transport_json_is_golden() {
+        let t = TransportMetrics::new();
+        t.record_round_trip("solve", 100, 40, 1500);
+        t.record_round_trip("solve", 100, 40, 1600);
+        t.record_round_trip("bump", 10, 8, 900);
+        t.record_round_trip("say \"hi\"", 0, 0, 0);
+        t.record_dial();
+        t.record_dial();
+        t.record_connection_drop();
+        assert_eq!(
+            t.snapshot().to_json(),
+            "{\"round_trips\":4,\"bytes_out\":210,\"bytes_in\":88,\
+             \"dials\":2,\"connection_drops\":1,\
+             \"per_method\":{\"bump\":1,\"say \\\"hi\\\"\":1,\"solve\":2},\
+             \"latency\":{\"count\":4,\"sum_ns\":4000,\"mean_ns\":1000.0,\
+             \"log2_buckets\":[[0,1],[9,1],[10,2]]}}"
+        );
+    }
+
+    #[test]
+    fn mux_json_is_golden() {
+        let m = MuxMetrics::new();
+        m.record_begin();
+        m.record_begin();
+        m.record_begin();
+        m.record_end();
+        m.set_queued_bytes(4096);
+        m.set_queued_bytes(128);
+        m.set_paused_connections(2);
+        m.set_paused_connections(1);
+        m.set_paused_connections(3);
+        m.record_protocol_violation();
+        assert_eq!(
+            m.snapshot().to_json(),
+            "{\"in_flight\":2,\"peak_in_flight\":3,\"queued_bytes\":128,\
+             \"peak_queued_bytes\":4096,\"paused_connections\":3,\
+             \"pause_events\":4,\"protocol_violations\":1}"
+        );
+    }
+
+    #[test]
+    fn bulk_json_is_golden() {
+        let b = BulkMetrics::new();
+        b.record_chunk_sent(1 << 20, (1 << 20) + 32);
+        b.record_chunk_sent(512, 512 + 32);
+        b.record_chunk_landed(1 << 20);
+        b.record_resume(3);
+        assert_eq!(
+            b.snapshot().to_json(),
+            "{\"bytes_sent\":1049088,\"bytes_landed\":1048576,\"chunks_sent\":2,\
+             \"chunks_landed\":1,\"resumed_chunks\":3,\"peak_chunk_bytes\":1048608}"
+        );
     }
 }

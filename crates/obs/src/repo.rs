@@ -16,28 +16,29 @@ counter_block! {
     /// The process-wide repository counter block.
     pub struct RepoCounters;
     /// A point-in-time copy of the global [`RepoCounters`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct RepoSnapshot;
     /// The process-global repository counter block.
     pub fn repo();
 
     /// Component registrations (single + batch).
-    deposits: /// Records `n` component registrations (single or batch deposit).
+    counter deposits: /// Records `n` component registrations (single or batch deposit).
         fn record_deposits(n);
     /// Exact class lookups that found their entry.
-    exact_lookups: /// Records one exact class lookup that found its entry.
+    counter exact_lookups: /// Records one exact class lookup that found its entry.
         fn record_exact_lookup();
     /// Exact class lookups that missed.
-    exact_misses: /// Records one exact class lookup that missed.
+    counter exact_misses: /// Records one exact class lookup that missed.
         fn record_exact_miss();
     /// Fuzzy discovery queries served (first pages and continuations).
-    fuzzy_queries;
+    counter fuzzy_queries;
     /// Entries returned across all fuzzy pages.
-    fuzzy_hits;
+    counter fuzzy_hits;
     /// Continuation pages served from a cursor.
-    cursor_pages: /// Records one continuation page served from a `QueryCursor`.
+    counter cursor_pages: /// Records one continuation page served from a `QueryCursor`.
         fn record_cursor_page();
     /// Store-wide reshards.
-    rebalances: /// Records one store-wide reshard.
+    counter rebalances: /// Records one store-wide reshard.
         fn record_rebalance();
 }
 

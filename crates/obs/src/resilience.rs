@@ -15,27 +15,28 @@ counter_block! {
     /// The process-wide resilience counter block.
     pub struct ResilienceCounters;
     /// A point-in-time copy of the global [`ResilienceCounters`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct ResilienceSnapshot;
     /// The process-global resilience counter block.
     pub fn resilience();
 
     /// Attempts after the first (one per backoff wait).
-    retries: /// Records one retried attempt (an attempt after the first).
+    counter retries: /// Records one retried attempt (an attempt after the first).
         fn record_retry();
     /// Calls abandoned on deadline expiry.
-    deadline_hits: /// Records one call abandoned because its deadline expired.
+    counter deadline_hits: /// Records one call abandoned because its deadline expired.
         fn record_deadline_hit();
     /// Closed/half-open → open transitions (quarantines).
-    breaker_opens: /// Records a breaker transitioning to open (provider quarantined).
+    counter breaker_opens: /// Records a breaker transitioning to open (provider quarantined).
         fn record_breaker_open();
     /// Open → half-open transitions (probes admitted).
-    breaker_half_opens: /// Records a breaker transitioning to half-open (probe admitted).
+    counter breaker_half_opens: /// Records a breaker transitioning to half-open (probe admitted).
         fn record_breaker_half_open();
     /// → closed transitions (recoveries).
-    breaker_closes: /// Records a breaker transitioning to closed (provider recovered).
+    counter breaker_closes: /// Records a breaker transitioning to closed (provider recovered).
         fn record_breaker_close();
     /// Calls refused while a provider was quarantined.
-    quarantine_rejections: /// Records a call refused because its provider was quarantined.
+    counter quarantine_rejections: /// Records a call refused because its provider was quarantined.
         fn record_quarantine_rejection();
 }
 

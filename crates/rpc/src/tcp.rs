@@ -29,6 +29,7 @@ use bytes::Bytes;
 use cca_core::resilience::{SplitMix64, DEADLINE_EXCEPTION_TYPE};
 use cca_obs::TransportMetrics;
 use cca_sidl::SidlError;
+use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,9 +67,11 @@ pub struct TcpServer {
     max_payload: u32,
     shutting_down: AtomicBool,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
-    /// `try_clone`d handles of live connections, so `shutdown` can unblock
-    /// handler threads parked in `read`.
-    conns: Mutex<Vec<TcpStream>>,
+    /// `try_clone`d handles of live connections by accept number, so
+    /// `shutdown` can unblock handler threads parked in `read`. A handler
+    /// removes its own entry when its connection ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Handler threads; finished ones are joined at the next accept.
     handlers: Mutex<Vec<JoinHandle<()>>>,
     accepted: AtomicU64,
     dispatched: AtomicU64,
@@ -94,7 +97,7 @@ impl TcpServer {
             max_payload: DEFAULT_MAX_PAYLOAD,
             shutting_down: AtomicBool::new(false),
             accept_thread: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
             accepted: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
@@ -160,23 +163,32 @@ impl TcpServer {
                 Err(_) => continue,
             };
             let _ = stream.set_nodelay(true);
-            self.accepted.fetch_add(1, Ordering::Relaxed);
+            let id = self.accepted.fetch_add(1, Ordering::Relaxed) + 1;
             if let Ok(clone) = stream.try_clone() {
-                self.conns.lock().unwrap().push(clone);
+                self.conns.lock().unwrap().insert(id, clone);
             }
             let me = Arc::clone(&self);
-            let name = format!("cca-tcp-conn-{}", self.accepted.load(Ordering::Relaxed));
             match std::thread::Builder::new()
-                .name(name)
-                .spawn(move || me.handle_connection(stream))
+                .name(format!("cca-tcp-conn-{id}"))
+                .spawn(move || me.handle_connection(id, stream))
             {
-                Ok(h) => self.handlers.lock().unwrap().push(h),
-                Err(_) => { /* spawn failed; the stream drops and the peer sees EOF */ }
+                Ok(h) => {
+                    let mut handlers = self.handlers.lock().unwrap();
+                    // Joining a thread that has finished does not block.
+                    for done in handlers.extract_if(.., |h| h.is_finished()) {
+                        let _ = done.join();
+                    }
+                    handlers.push(h);
+                }
+                Err(_) => {
+                    // Spawn failed: both handles drop and the peer sees EOF.
+                    self.conns.lock().unwrap().remove(&id);
+                }
             }
         }
     }
 
-    fn handle_connection(&self, mut stream: TcpStream) {
+    fn handle_connection(&self, id: u64, mut stream: TcpStream) {
         let _span = cca_obs::span("rpc.tcp.serve");
         // The loop ends on a clean EOF at a frame boundary (`Ok(None)`) or
         // on a framing violation / io error: either way this connection is
@@ -218,20 +230,22 @@ impl TcpServer {
             }
             self.dispatched.fetch_add(1, Ordering::Relaxed);
         }
-        // Close actively: `shutdown` registered a `try_clone` of this
-        // stream, so merely dropping ours would leave the underlying
-        // socket open and the peer waiting for an EOF that never comes.
+        // Close actively, and drop the clone registered for `shutdown`: the
+        // connection's fd is released now, not when the server shuts down.
         let _ = stream.shutdown(Shutdown::Both);
+        self.conns.lock().unwrap().remove(&id);
     }
 
     /// Stops the server: closes every live connection, unblocks and joins
     /// the accept thread and every handler thread. Returns the number of
-    /// handler threads joined. Idempotent — later calls return 0.
+    /// handler threads joined (those of connections still open, plus any
+    /// that ended since the last accept). Idempotent — later calls
+    /// return 0.
     pub fn shutdown(&self) -> usize {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return 0;
         }
-        for conn in self.conns.lock().unwrap().drain(..) {
+        for (_, conn) in self.conns.lock().unwrap().drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // Wake the accept thread: it re-checks the flag after each accept.
@@ -241,7 +255,7 @@ impl TcpServer {
         }
         // Connections registered between the drain above and the accept
         // thread exiting are closed now that no new ones can appear.
-        for conn in self.conns.lock().unwrap().drain(..) {
+        for (_, conn) in self.conns.lock().unwrap().drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         let handlers: Vec<_> = self.handlers.lock().unwrap().drain(..).collect();
