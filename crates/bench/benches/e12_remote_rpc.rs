@@ -7,9 +7,13 @@
 //! experiments use:
 //!
 //! * `roundtrip_median_ns` — one `ObjRef::invoke` through a pooled
-//!   `TcpTransport` into a `TcpServer` on 127.0.0.1 (marshal → frame →
+//!   `TcpTransport` into a `MuxServer` on 127.0.0.1 (marshal → frame →
 //!   socket → dispatch → frame → demarshal). Acceptance: < 100 µs;
 //! * `roundtrip_p90_ns` / `roundtrip_min_ns` — spread of the same samples;
+//! * `mux_roundtrip_median_ns` / `mux_roundtrip_p90_ns` — the same serial
+//!   calls into the same server through a 1-connection `MuxTransport`
+//!   (submit → writer thread → socket → … → reader thread → waiter
+//!   wake): what the multiplexed client costs a lone caller;
 //! * `loopback_orb_ns` — the E3 in-process ORB configuration re-measured
 //!   in this process: the marshal/dispatch cost floor without sockets, so
 //!   the delta to the median is the price of the real network stack;
@@ -19,7 +23,7 @@
 use cca_bench::{measure_min, write_atomic};
 use cca_rpc::frame::{encode_frame, FrameKind, DEFAULT_MAX_PAYLOAD};
 use cca_rpc::transport::Dispatcher;
-use cca_rpc::{ObjRef, Orb, TcpServer, TcpTransport, Transport};
+use cca_rpc::{MuxServer, MuxTransport, ObjRef, Orb, TcpTransport, Transport};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -39,29 +43,14 @@ impl DynObject for Echo {
     }
 }
 
-fn main() {
-    let fast = std::env::var_os("CCA_BENCH_FAST").is_some();
-    let calls = if fast { 2_000 } else { 20_000 };
-    let samples = if fast { 7 } else { 15 };
-    let target = Duration::from_millis(if fast { 2 } else { 8 });
-
-    cca_obs::set_tracing(false);
-    cca_obs::set_counters(false);
-
-    // --- the remote configuration: server + pooled client ---------------
-    let orb = Orb::new();
-    orb.register("echo", Arc::new(Echo));
-    let server = TcpServer::bind("127.0.0.1:0", Arc::clone(&orb) as Arc<dyn Dispatcher>)
-        .expect("bind ephemeral port");
-    let transport = Arc::new(TcpTransport::new(server.local_addr().to_string()).with_pool_size(1));
-    let remote = ObjRef::new("echo", Arc::clone(&transport) as Arc<dyn Transport>);
-
-    // Warm up: dial, fill caches, settle the scheduler.
+/// `calls` serial echo round trips through `transport` after a warm-up
+/// (dial, fill caches, settle the scheduler); per-call nanoseconds,
+/// sorted.
+fn serial_roundtrips(transport: Arc<dyn Transport>, calls: usize) -> Vec<u64> {
+    let remote = ObjRef::new("echo", transport);
     for _ in 0..200 {
         remote.invoke("echo", vec![DynValue::Double(1.0)]).unwrap();
     }
-
-    // Per-call samples for the distribution quantities.
     let mut roundtrips: Vec<u64> = (0..calls)
         .map(|i| {
             let start = Instant::now();
@@ -74,9 +63,32 @@ fn main() {
         })
         .collect();
     roundtrips.sort_unstable();
+    roundtrips
+}
+
+fn main() {
+    let fast = std::env::var_os("CCA_BENCH_FAST").is_some();
+    let calls = if fast { 2_000 } else { 20_000 };
+    let samples = if fast { 7 } else { 15 };
+    let target = Duration::from_millis(if fast { 2 } else { 8 });
+
+    cca_obs::set_tracing(false);
+    cca_obs::set_counters(false);
+
+    // --- the remote configurations: one server, two clients -------------
+    let orb = Orb::new();
+    orb.register("echo", Arc::new(Echo));
+    let server = MuxServer::bind("127.0.0.1:0", Arc::clone(&orb) as Arc<dyn Dispatcher>)
+        .expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let pooled = TcpTransport::new(addr.clone()).with_pool_size(1);
+    let roundtrips = serial_roundtrips(Arc::new(pooled), calls);
     let median = roundtrips[roundtrips.len() / 2] as f64;
     let p90 = roundtrips[roundtrips.len() * 9 / 10] as f64;
     let min = roundtrips[0] as f64;
+    let mux = serial_roundtrips(Arc::new(MuxTransport::new(addr).with_connections(1)), calls);
+    let mux_median = mux[mux.len() / 2] as f64;
+    let mux_p90 = mux[mux.len() * 9 / 10] as f64;
 
     // --- the in-process floor: same ORB, no sockets ----------------------
     let local = ObjRef::loopback("echo", orb);
@@ -96,6 +108,11 @@ fn main() {
     println!("e12_remote_rpc/roundtrip_median   {median:>12.2} ns/call  ({calls} calls)");
     println!("e12_remote_rpc/roundtrip_p90      {p90:>12.2} ns/call");
     println!("e12_remote_rpc/roundtrip_min      {min:>12.2} ns/call");
+    println!(
+        "e12_remote_rpc/mux_roundtrip_median {mux_median:>10.2} ns/call  ({:.2}x pooled)",
+        mux_median / median
+    );
+    println!("e12_remote_rpc/mux_roundtrip_p90  {mux_p90:>12.2} ns/call");
     println!("e12_remote_rpc/loopback_orb       {loopback:>12.2} ns/iter");
     println!("e12_remote_rpc/frame_encode       {frame_encode:>12.2} ns/iter");
 
@@ -108,11 +125,13 @@ fn main() {
             "  \"roundtrip_median_ns\": {:.3},\n",
             "  \"roundtrip_p90_ns\": {:.3},\n",
             "  \"roundtrip_min_ns\": {:.3},\n",
+            "  \"mux_roundtrip_median_ns\": {:.3},\n",
+            "  \"mux_roundtrip_p90_ns\": {:.3},\n",
             "  \"loopback_orb_ns\": {:.3},\n",
             "  \"frame_encode_ns\": {:.3}\n",
             "}}\n"
         ),
-        calls, median, p90, min, loopback, frame_encode
+        calls, median, p90, min, mux_median, mux_p90, loopback, frame_encode
     );
     let out = std::env::var("BENCH_RPC_OUT").unwrap_or_else(|_| "BENCH_rpc.json".to_string());
     write_atomic(&out, &json);

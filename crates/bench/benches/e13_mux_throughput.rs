@@ -14,7 +14,8 @@
 //!   without waiting, in waves) through a `MuxTransport` capped at 8
 //!   connections into a `MuxServer`;
 //! * **pool** — thread-per-client: `pool_threads` OS threads sharing a
-//!   `TcpTransport` pool of 8 sockets into a `TcpServer`.
+//!   `TcpTransport` pool of 8 sockets into a `MuxServer` (the one server;
+//!   a pooled connection never has more than one request in flight).
 //!
 //! Quantities merged into `BENCH_rpc.json` (E12's keys are preserved):
 //!
@@ -31,7 +32,7 @@
 
 use cca_bench::{extract_num, write_atomic};
 use cca_rpc::transport::Dispatcher;
-use cca_rpc::{MuxServer, MuxTransport, ObjRef, Orb, TcpServer, TcpTransport, Transport};
+use cca_rpc::{MuxServer, MuxTransport, ObjRef, Orb, TcpTransport, Transport};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -77,7 +78,7 @@ fn main() {
     );
     let request = {
         let objref = ObjRef::new("echo", Arc::clone(&mux) as Arc<dyn Transport>);
-        // Warm up: dial every connection, settle the event loop.
+        // Warm up: dial every connection, settle the server.
         for i in 0..200 {
             objref
                 .invoke("echo", vec![DynValue::Double(i as f64)])
@@ -133,10 +134,10 @@ fn main() {
     // --- pool baseline: thread-per-client over the same socket budget ----
     let orb = Orb::new();
     orb.register("echo", Arc::new(Echo));
-    let tcp_server = TcpServer::bind("127.0.0.1:0", Arc::clone(&orb) as Arc<dyn Dispatcher>)
-        .expect("bind tcp server");
+    let pool_server = MuxServer::bind("127.0.0.1:0", Arc::clone(&orb) as Arc<dyn Dispatcher>)
+        .expect("bind pool server");
     let pool = Arc::new(
-        TcpTransport::new(tcp_server.local_addr().to_string()).with_pool_size(mux_sockets),
+        TcpTransport::new(pool_server.local_addr().to_string()).with_pool_size(mux_sockets),
     );
     {
         // Warm up: fill the pool.
@@ -171,7 +172,7 @@ fn main() {
     let pool_elapsed = pool_start.elapsed();
     let pool_total = pool_threads * pool_calls_per_thread;
     let pool_throughput = pool_total as f64 / pool_elapsed.as_secs_f64();
-    tcp_server.shutdown();
+    pool_server.shutdown();
 
     // --- report ----------------------------------------------------------
     println!(
@@ -201,6 +202,14 @@ fn main() {
         (
             "roundtrip_min_ns".to_string(),
             extract_num(&existing, "roundtrip_min_ns"),
+        ),
+        (
+            "mux_roundtrip_median_ns".to_string(),
+            extract_num(&existing, "mux_roundtrip_median_ns"),
+        ),
+        (
+            "mux_roundtrip_p90_ns".to_string(),
+            extract_num(&existing, "mux_roundtrip_p90_ns"),
         ),
         (
             "loopback_orb_ns".to_string(),

@@ -35,7 +35,7 @@
 use cca_core::{CcaServices, PortHandle};
 use cca_data::TypeMap;
 use cca_rpc::transport::Dispatcher;
-use cca_rpc::{MuxServer, MuxServerConfig, MuxTransport, ObjRef, Orb, TcpServer, TcpTransport};
+use cca_rpc::{MuxServer, MuxServerConfig, MuxTransport, ObjRef, Orb, TcpTransport};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,10 +257,24 @@ fn assert_trace_plumbing_adds_no_allocations(label: &str, objref: &ObjRef) {
     );
 }
 
-fn remote_call_trace_plumbing_adds_no_allocations_pooled() {
+/// The server both remote checks dial. One dispatch worker: the
+/// server-side ring warm-up is deterministic.
+fn doubler_server() -> Arc<MuxServer> {
     let orb = Orb::new();
     orb.register("doubler", Arc::new(Doubler));
-    let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
+    MuxServer::bind_with(
+        "127.0.0.1:0",
+        orb as Arc<dyn Dispatcher>,
+        MuxServerConfig {
+            dispatch_threads: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+fn remote_call_trace_plumbing_adds_no_allocations_pooled() {
+    let server = doubler_server();
     // Pool of 1: a serial client reuses one warmed connection, keeping
     // the per-loop allocation count a pure function of the call.
     let transport = Arc::new(TcpTransport::new(server.local_addr().to_string()).with_pool_size(1));
@@ -271,18 +285,7 @@ fn remote_call_trace_plumbing_adds_no_allocations_pooled() {
 }
 
 fn remote_call_trace_plumbing_adds_no_allocations_mux() {
-    let orb = Orb::new();
-    orb.register("doubler", Arc::new(Doubler));
-    // One dispatch worker: the server-side ring warm-up is deterministic.
-    let server = MuxServer::bind_with(
-        "127.0.0.1:0",
-        orb as Arc<dyn Dispatcher>,
-        MuxServerConfig {
-            dispatch_threads: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let server = doubler_server();
     let transport = Arc::new(MuxTransport::new(server.local_addr().to_string()));
     let objref = ObjRef::new("doubler", transport as Arc<dyn cca_rpc::Transport>);
 

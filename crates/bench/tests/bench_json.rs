@@ -233,9 +233,20 @@ fn committed_bench_artifacts_parse_and_declare_schema() {
             other => panic!("{name}: missing string 'schema' field (got {other:?})"),
         }
         if name == "BENCH_rpc.json" {
-            // E13 merges the mux throughput quantities into E12's
-            // artifact; a bench.sh run that skipped the merge (or a bad
-            // hand edit) must fail here, not in a trend script.
+            // E12's pooled-vs-mux single-call pair, and the mux throughput
+            // quantities E13 merges into E12's artifact; a bench.sh run
+            // that skipped the merge (or a bad hand edit) must fail here,
+            // not in a trend script.
+            for key in [
+                "roundtrip_median_ns",
+                "mux_roundtrip_median_ns",
+                "mux_roundtrip_p90_ns",
+            ] {
+                assert!(
+                    matches!(map.get(key), Some(Json::Num(_))),
+                    "{name}: missing numeric '{key}' field (E12 single call)"
+                );
+            }
             for key in ["throughput_calls_per_sec", "p99_ns"] {
                 assert!(
                     matches!(map.get(key), Some(Json::Num(_))),

@@ -12,7 +12,7 @@ use cca_core::{CcaError, ConfigEvent, PortHandle};
 use cca_rpc::transport::Dispatcher;
 use cca_rpc::{
     DeadlineTransport, LoopbackTransport, MuxServer, MuxTransport, ObjRef, RemotePortProxy,
-    TcpServer, TcpTransport, Transport,
+    TcpTransport, Transport,
 };
 use cca_sidl::DynObject;
 use std::collections::BTreeMap;
@@ -386,22 +386,13 @@ impl Framework {
     /// Serves this framework's ORB over TCP: every port already exported
     /// (via [`export_port`](Self::export_port) or a proxied connection)
     /// becomes remotely invocable. Bind to `"127.0.0.1:0"` for an
-    /// ephemeral port and read the real one off the returned server.
-    pub fn serve_tcp(&self, addr: &str) -> Result<Arc<TcpServer>, CcaError> {
-        TcpServer::bind(addr, Arc::clone(&self.orb) as Arc<dyn Dispatcher>)
-            .map_err(|e| CcaError::Framework(format!("serve tcp://{addr}: {e}")))
-    }
-
-    /// Serves this framework's ORB over multiplexed TCP: the same exported
-    /// ports as [`serve_tcp`](Self::serve_tcp), dispatched through the
-    /// same ORB, but from an event-driven [`MuxServer`] whose thread
-    /// budget does not grow with the number of peers. A remote framework
-    /// reaches it with [`connect_remote_with`](Self::connect_remote_with)
-    /// and [`RemoteTransportKind::Mux`] for pipelining — though the pooled
-    /// client interoperates too (the wire format is identical).
-    pub fn serve_tcp_mux(&self, addr: &str) -> Result<Arc<MuxServer>, CcaError> {
+    /// ephemeral port and read the real one off the returned server. The
+    /// [`MuxServer`] answers pooled and multiplexed callers alike (the
+    /// wire format is identical), so a remote framework may reach it with
+    /// either [`RemoteTransportKind`].
+    pub fn serve_tcp(&self, addr: &str) -> Result<Arc<MuxServer>, CcaError> {
         MuxServer::bind(addr, Arc::clone(&self.orb) as Arc<dyn Dispatcher>)
-            .map_err(|e| CcaError::Framework(format!("serve tcp+mux://{addr}: {e}")))
+            .map_err(|e| CcaError::Framework(format!("serve tcp://{addr}: {e}")))
     }
 
     /// Connects `user.uses_port` to a port exported by a *remote*

@@ -11,8 +11,8 @@
 //! components themselves use. [`Framework::install_discovery`] takes the
 //! same path as [`Framework::install_monitor`]: deposit the service-port
 //! SIDL, add the component instance, export the generated skeleton under
-//! [`DISCOVERY_EXPORT_KEY`], and the next `serve_tcp`/`serve_tcp_mux`
-//! call makes the catalog remotely searchable.
+//! [`DISCOVERY_EXPORT_KEY`], and the next `serve_tcp` call makes the
+//! catalog remotely searchable.
 
 use crate::framework::Framework;
 use crate::service::{DiscoveryPort, DiscoveryPortSkel, ServicePort};
@@ -153,8 +153,7 @@ impl Framework {
     /// [`DISCOVERY_INSTANCE`] serving a [`Discovery`] through the
     /// generated skeleton, and exports its port under
     /// [`DISCOVERY_EXPORT_KEY`] so the next
-    /// [`serve_tcp`](Framework::serve_tcp) /
-    /// [`serve_tcp_mux`](Framework::serve_tcp_mux) call makes the catalog
+    /// [`serve_tcp`](Framework::serve_tcp) call makes the catalog
     /// remotely searchable.
     ///
     /// Returns the port object for in-process callers.

@@ -237,9 +237,8 @@ impl Framework {
     /// [`MONITOR_INSTANCE`] whose `"monitor"` provides port answers
     /// [`MONITOR_PORT_TYPE`] through the generated skeleton, and exports
     /// that port under [`MONITOR_EXPORT_KEY`], so the next
-    /// [`serve_tcp`](Framework::serve_tcp) /
-    /// [`serve_tcp_mux`](Framework::serve_tcp_mux) call makes the process
-    /// remotely scrapeable.
+    /// [`serve_tcp`](Framework::serve_tcp) call makes the process remotely
+    /// scrapeable.
     ///
     /// Returns the port object for in-process callers; reflective tools
     /// reach the skeleton with

@@ -10,8 +10,7 @@
 //! Installing a service port is one path for all of them: deposit
 //! [`CCA_PORTS_SIDL`] into the repository if the port type is unknown,
 //! add an instance whose component provides the port, and export it on
-//! the ORB, so the next `serve_tcp`/`serve_tcp_mux` call puts it on the
-//! network.
+//! the ORB, so the next `serve_tcp` call puts it on the network.
 
 use crate::framework::Framework;
 use cca_core::{CcaError, CcaServices, Component, PortHandle};

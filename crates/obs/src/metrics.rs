@@ -360,7 +360,7 @@ counter_block! {
     /// logical callers, and a mux server buffers replies per connection —
     /// so the interesting quantities are *depths*, not rates: how many
     /// calls are in flight right now (and the high-water mark), how many
-    /// reply bytes are queued waiting for slow peers, and how often
+    /// bytes are queued behind the sockets for slow peers, and how often
     /// backpressure paused reading a connection. Every record path is a
     /// relaxed atomic, allocation-free, matching the [`PortMetrics`]
     /// contract.
@@ -374,13 +374,15 @@ counter_block! {
     gauge in_flight;
     /// High-water mark of concurrent in-flight calls.
     peak peak_in_flight;
-    /// Reply bytes queued behind slow peers.
+    /// Bytes queued for the sockets, summed over live connections: a
+    /// client's unwritten requests; a server's requests in dispatch plus
+    /// unwritten replies.
     gauge queued_bytes;
-    /// High-water mark of queued reply bytes.
+    /// High-water mark of queued bytes.
     peak peak_queued_bytes;
     /// Connections paused by backpressure.
     gauge paused_connections;
-    /// Times a connection newly entered the paused state.
+    /// Times a connection entered the paused state.
     counter pause_events;
     /// Mux protocol violations (each cost its peer the connection).
     counter protocol_violations: /// A peer violated the mux protocol (unknown or
@@ -402,21 +404,26 @@ impl MuxMetrics {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Publishes the current total of queued (unflushed) reply bytes
-    /// across all connections.
-    pub fn set_queued_bytes(&self, bytes: u64) {
-        self.queued_bytes.store(bytes, Ordering::Relaxed);
-        self.peak_queued_bytes.fetch_max(bytes, Ordering::Relaxed);
+    /// `bytes` joined a connection's write queue.
+    pub fn add_queued_bytes(&self, bytes: u64) {
+        let now = self.queued_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak_queued_bytes.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Publishes how many connections currently have reads paused by
-    /// backpressure, counting each newly paused connection as an event.
-    pub fn set_paused_connections(&self, now_paused: u64) {
-        let before = self.paused_connections.swap(now_paused, Ordering::Relaxed);
-        if now_paused > before {
-            self.pause_events
-                .fetch_add(now_paused - before, Ordering::Relaxed);
-        }
+    /// `bytes` left a connection's write queue (written or discarded).
+    pub fn sub_queued_bytes(&self, bytes: u64) {
+        self.queued_bytes.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// A connection's reads paused for backpressure.
+    pub fn record_pause(&self) {
+        self.paused_connections.fetch_add(1, Ordering::Relaxed);
+        self.pause_events.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A paused connection's reads resumed (or the connection closed).
+    pub fn record_unpause(&self) {
+        self.paused_connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -592,15 +599,17 @@ mod tests {
         assert_eq!(m.in_flight(), 2);
         assert_eq!(m.peak_in_flight(), 3, "watermark survives completion");
 
-        m.set_queued_bytes(4096);
-        m.set_queued_bytes(128);
+        m.add_queued_bytes(4096);
+        m.sub_queued_bytes(3968);
         assert_eq!(m.queued_bytes(), 128);
 
-        m.set_paused_connections(2);
-        m.set_paused_connections(1);
-        m.set_paused_connections(3);
+        m.record_pause();
+        m.record_pause();
+        m.record_unpause();
+        m.record_pause();
+        m.record_pause();
         assert_eq!(m.paused_connections(), 3);
-        // 0→2 (+2 events), 2→1 (none), 1→3 (+2 events).
+        // Every pause is an event; resuming is not.
         assert_eq!(m.pause_events(), 4);
 
         m.record_protocol_violation();
@@ -717,11 +726,13 @@ mod tests {
         m.record_begin();
         m.record_begin();
         m.record_end();
-        m.set_queued_bytes(4096);
-        m.set_queued_bytes(128);
-        m.set_paused_connections(2);
-        m.set_paused_connections(1);
-        m.set_paused_connections(3);
+        m.add_queued_bytes(4096);
+        m.sub_queued_bytes(3968);
+        m.record_pause();
+        m.record_pause();
+        m.record_unpause();
+        m.record_pause();
+        m.record_pause();
         m.record_protocol_violation();
         assert_eq!(
             m.snapshot().to_json(),

@@ -339,7 +339,11 @@ pub struct FrameDecoder {
     /// *precedes* `buf` in the stream and is consumed first, frame by
     /// frame, without copying.
     view: Bytes,
+    /// Stream bytes are `buf[..filled]`; the rest of `buf` is spare room
+    /// left initialised by earlier reads, which
+    /// [`fill_from`](Self::fill_from) reads into again without zeroing it.
     buf: Vec<u8>,
+    filled: usize,
     /// Full-range handles on storages given away by zero-copy pops. Once
     /// the consumers of a storage's payload views drop them, the handle
     /// here is the last one and the `Vec` is reclaimed as the next `buf`
@@ -366,6 +370,7 @@ impl FrameDecoder {
         FrameDecoder {
             view: Bytes::new(),
             buf: Vec::new(),
+            filled: 0,
             retired: Vec::new(),
             max_payload,
         }
@@ -373,35 +378,34 @@ impl FrameDecoder {
 
     /// Appends newly arrived bytes.
     pub fn feed(&mut self, chunk: &[u8]) {
+        self.buf.truncate(self.filled);
         self.buf.extend_from_slice(chunk);
+        self.filled = self.buf.len();
     }
 
     /// Reads up to `max` bytes from `reader` directly into the buffer —
     /// [`feed`](Self::feed) without the intermediate scratch copy. Returns
     /// the byte count from the underlying `read` (0 meaning end of
-    /// stream); the buffer is unchanged on error.
+    /// stream); the buffer is unchanged on error. Only room the buffer
+    /// has never had is zeroed, so a large `max` costs nothing per call
+    /// once the buffer has grown to it.
     pub fn fill_from(
         &mut self,
         reader: &mut impl std::io::Read,
         max: usize,
     ) -> std::io::Result<usize> {
-        let old = self.buf.len();
-        self.buf.resize(old + max, 0);
-        match reader.read(&mut self.buf[old..]) {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
+        let end = self.filled + max;
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
         }
+        let n = reader.read(&mut self.buf[self.filled..end])?;
+        self.filled += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet popped as a frame.
     pub fn buffered(&self) -> usize {
-        self.view.len() + self.buf.len()
+        self.view.len() + self.filled
     }
 
     /// Parses one frame from the front of `bytes`; `None` means incomplete.
@@ -451,14 +455,15 @@ impl FrameDecoder {
                     // (partial-frame-sized) remainder back in front of the
                     // accumulation buffer and continue contiguously.
                     let mut merged = self.view.to_vec();
-                    merged.extend_from_slice(&self.buf);
+                    merged.extend_from_slice(&self.buf[..self.filled]);
                     self.buf = merged;
+                    self.filled = self.buf.len();
                     self.view = Bytes::new();
                 }
             }
         }
         let Some((header, context, body_at, total)) =
-            Self::parse_prefix(&self.buf, self.max_payload)?
+            Self::parse_prefix(&self.buf[..self.filled], self.max_payload)?
         else {
             return Ok(None);
         };
@@ -469,18 +474,20 @@ impl FrameDecoder {
         // payloads aren't worth the buffer churn and copy out as before.
         const ZERO_COPY_POP_MIN: usize = 32 << 10;
         let payload = if header.payload_len as usize >= ZERO_COPY_POP_MIN {
+            self.buf.truncate(self.filled);
+            self.filled = 0;
             let whole = Bytes::from(std::mem::take(&mut self.buf));
             self.view = whole.slice(total..);
             let payload = whole.slice(body_at..total);
             self.retired.push(whole);
             // Reclaim any retired storage whose views are all gone; the
-            // first one becomes the next accumulation buffer.
+            // largest becomes the next accumulation buffer, its old
+            // contents kept as initialised spare room.
             let mut i = 0;
             while i < self.retired.len() {
                 if self.retired[i].is_unique() {
-                    if let Ok(mut v) = self.retired.swap_remove(i).try_unwrap() {
+                    if let Ok(v) = self.retired.swap_remove(i).try_unwrap() {
                         if self.buf.capacity() < v.capacity() {
-                            v.clear();
                             self.buf = v;
                         }
                     }
@@ -495,7 +502,8 @@ impl FrameDecoder {
             payload
         } else {
             let payload = Bytes::from(self.buf[body_at..total].to_vec());
-            self.buf.drain(..total);
+            self.buf.copy_within(total..self.filled, 0);
+            self.filled -= total;
             payload
         };
         Ok(Some(Frame {
@@ -518,7 +526,7 @@ impl FrameDecoder {
         let mut prefix = [0u8; FRAME_HEADER_LEN];
         let from_view = self.view.len().min(FRAME_HEADER_LEN);
         prefix[..from_view].copy_from_slice(&self.view.as_slice()[..from_view]);
-        let from_buf = self.buf.len().min(FRAME_HEADER_LEN - from_view);
+        let from_buf = self.filled.min(FRAME_HEADER_LEN - from_view);
         prefix[from_view..from_view + from_buf].copy_from_slice(&self.buf[..from_buf]);
         let need = if from_view + from_buf < FRAME_HEADER_LEN {
             FRAME_HEADER_LEN
@@ -947,5 +955,52 @@ mod tests {
             assert_eq!(frame.request_id, 77);
             assert_eq!(&frame.payload[..], b"rank-hello");
         }
+    }
+
+    #[test]
+    fn fill_from_reuses_spare_room_without_leaking_stale_bytes() {
+        // Small frames pop by copy, the 40 KiB ones as zero-copy views, so
+        // the decoder's buffer is compacted, given away and reclaimed
+        // while spare bytes from earlier reads sit past the stream data.
+        let sizes = [3usize, 40 << 10, 0, 17, 40 << 10, 40 << 10, 5, 1];
+        let mut stream = Vec::new();
+        for (id, &len) in sizes.iter().enumerate() {
+            let payload = vec![id as u8 + 1; len];
+            stream.extend(
+                encode_frame(FrameKind::Request, id as u64, &payload, DEFAULT_MAX_PAYLOAD).unwrap(),
+            );
+        }
+        let mut reader = stream.as_slice();
+        let mut dec = FrameDecoder::new();
+        let mut popped = 0;
+        for round in 0.. {
+            // Reads of odd sizes that straddle frame boundaries, with a
+            // plain `feed` now and then into the same buffer.
+            let max = [1usize, 7, 300, 64 << 10, 20][round % 5];
+            let n = if round % 7 == 3 {
+                let take = max.min(reader.len());
+                dec.feed(&reader[..take]);
+                reader = &reader[take..];
+                take
+            } else {
+                dec.fill_from(&mut reader, max).unwrap()
+            };
+            // Each frame is dropped once checked, so retired storage
+            // comes back as the next buffer.
+            while let Some(f) = dec.next_frame().unwrap() {
+                let id = popped;
+                assert_eq!(f.request_id, id as u64);
+                assert_eq!(
+                    f.payload.as_slice(),
+                    vec![id as u8 + 1; sizes[id]].as_slice()
+                );
+                popped += 1;
+            }
+            if n == 0 && reader.is_empty() {
+                break;
+            }
+        }
+        dec.finish().unwrap();
+        assert_eq!(popped, sizes.len());
     }
 }

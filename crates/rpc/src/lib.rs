@@ -30,15 +30,16 @@
 //!   versioned frames over the [`wire`] encoding, with a payload cap and
 //!   typed rejection of malformed input (proptested in
 //!   `tests/frame_proptest.rs`).
-//! * [`tcp`] — the actual wire: a threaded `std::net` server dispatching
-//!   into the same [`transport::Dispatcher`] as the loopback, and a
-//!   pooled, timeout-aware client [`TcpTransport`] whose failures feed
-//!   the circuit-breaker machinery unchanged.
-//! * [`mux`] — the same wire, multiplexed: [`mux::MuxTransport`] pipelines
-//!   thousands of concurrent calls over a handful of sockets by routing
-//!   replies to waiters by frame request id, and [`mux::MuxServer`] serves
-//!   them from an event-driven readiness loop with per-connection
-//!   backpressure instead of a thread per peer (experiment E13).
+//! * [`mux`] — the wire: [`mux::MuxServer`] serves every TCP caller,
+//!   each connection read by its own blocking thread and answered through
+//!   a bounded dispatch pool into the same [`transport::Dispatcher`] as
+//!   the loopback, with per-connection backpressure; its client
+//!   [`mux::MuxTransport`] pipelines thousands of concurrent calls over a
+//!   handful of sockets by routing replies to waiters by frame request id
+//!   (experiment E13).
+//! * [`tcp`] — the pooled, timeout-aware client [`TcpTransport`]: one call
+//!   per checked-out connection, same frames, same server; its failures
+//!   feed the circuit-breaker machinery unchanged (experiment E12).
 //! * [`bulk`] — the data plane: `FrameKind::Bulk` slabs carrying M×N
 //!   array-redistribution chunks as raw little-endian bytes (no
 //!   per-element encoding), acknowledged with resume watermarks so a
@@ -69,6 +70,6 @@ pub use mux::{
 pub use orb::{ObjRef, Orb};
 pub use proxy::RemotePortProxy;
 pub use resilient::{DeadlineTransport, FaultAction, FaultTransport, INJECTED_FAULT_TYPE};
-pub use tcp::{TcpServer, TcpTransport, CONNECTION_EXCEPTION_TYPE};
+pub use tcp::{TcpTransport, CONNECTION_EXCEPTION_TYPE};
 pub use transport::{LatencyTransport, LoopbackTransport, Transport};
 pub use wire::{decode_reply, decode_request, encode_reply, encode_request, Reply, Request};

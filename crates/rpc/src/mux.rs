@@ -1,12 +1,11 @@
 //! Request-id multiplexing: thousands of concurrent logical clients on a
 //! handful of sockets.
 //!
-//! The PR-5 stack is correct but serial: `TcpTransport` allows one in-flight
-//! request per pooled connection, and `TcpServer` spends a blocking thread
-//! per peer. The frame header has carried a `u64` request id since PR-5
-//! precisely so that replies can be routed without demarshaling — this
-//! module cashes that in on both sides of the socket, std-only (vendor
-//! policy: no new runtime deps, no async runtime).
+//! A pooled [`crate::TcpTransport`] allows one in-flight request per
+//! connection. The frame header carries a `u64` request id precisely so
+//! that replies can be routed without demarshaling — this module cashes
+//! that in on both sides of the socket, std-only (vendor policy: no new
+//! runtime deps, no async runtime).
 //!
 //! * [`MuxTransport`] — the client: many concurrent calls pipeline over a
 //!   small fixed set of connections. Per connection, one writer thread
@@ -16,17 +15,19 @@
 //!   returns a [`PendingReply`] without blocking on the reply, so one OS
 //!   thread can keep hundreds of logical calls in flight. When a
 //!   connection dies, every in-flight call on it fails with a typed
-//!   [`CONNECTION_EXCEPTION_TYPE`] error — which feeds the PR-3 circuit
+//!   [`CONNECTION_EXCEPTION_TYPE`] error — which feeds the circuit
 //!   breaker exactly like a pooled-transport failure.
-//! * [`MuxServer`] — the server: an event-driven readiness loop over
-//!   nonblocking sockets instead of a thread per peer. One loop thread
-//!   reads frames from every connection, a bounded worker pool dispatches
-//!   into the same [`Dispatcher`] trait the blocking server uses (the
-//!   Figure-2 pipeline and the hostile-network battery run unchanged), and
-//!   replies are flushed back by the loop. Backpressure is per-connection:
-//!   when a peer's replies aren't draining, the loop stops *reading* that
-//!   connection until the write buffer empties, so one slow consumer can't
-//!   balloon server memory.
+//! * [`MuxServer`] — the server, in the client's shape: per connection,
+//!   one blocking reader thread decodes frames and queues them on a
+//!   bounded dispatch pool that calls the same [`Dispatcher`] trait every
+//!   transport uses (the Figure-2 pipeline and the hostile-network
+//!   battery run unchanged), and one writer thread — the client's writer
+//!   — flushes the replies. A reader is blocked in `read` on its socket,
+//!   so a request is picked up the moment its bytes arrive. Backpressure
+//!   is per-connection: when a peer's replies aren't draining, its reader
+//!   stops reading until the writer catches up, so one slow consumer
+//!   can't balloon server memory. A mux client puts thousands of callers
+//!   on a few sockets, so two threads per connection stay few.
 //!
 //! Protocol discipline: a reply bearing an unknown or already-completed
 //! request id is a mux violation. It fails only its own connection — every
@@ -38,8 +39,8 @@
 //! misclassified as a violation.
 
 use crate::frame::{
-    encode_frame, encode_frame_header_onto, encode_frame_onto, encode_frame_with, read_frame,
-    Frame, FrameDecoder, FrameKind, DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN,
+    encode_frame_header_onto, encode_frame_onto, encode_frame_with, read_frame, Frame,
+    FrameDecoder, FrameKind, DEFAULT_MAX_PAYLOAD, FRAME_HEADER_LEN,
 };
 use crate::tcp::CONNECTION_EXCEPTION_TYPE;
 use crate::transport::{Dispatcher, Transport};
@@ -57,6 +58,166 @@ use std::time::{Duration, Instant};
 
 fn conn_err(message: impl Into<String>) -> SidlError {
     SidlError::user(CONNECTION_EXCEPTION_TYPE, message)
+}
+
+// ---------------------------------------------------------------------------
+// The connection writer, shared by client and server
+// ---------------------------------------------------------------------------
+
+/// One connection's outgoing bytes. Producers append encoded frames under
+/// the lock; the connection's writer thread swaps the buffer out and
+/// writes it without the lock, so frames appended while a `write` syscall
+/// runs coalesce into the next one. A server reader also uses it for
+/// backpressure: it [`reserve`](Self::reserve)s each decoded request
+/// until the reply is [`settle`](Self::settle)d, and waits for room when
+/// the connection's backlog exceeds its cap.
+///
+/// Every change to the backlog is mirrored into the `queued_bytes` gauge
+/// of the owning endpoint's [`MuxMetrics`] under the same lock, so the
+/// gauge is the sum of live connections' backlogs at all times.
+struct WriteQueue {
+    out: Mutex<OutQueue>,
+    /// Wakes the writer: bytes appended, or the queue closed.
+    ready: Condvar,
+    /// Wakes a producer waiting in [`wait_for_room`](Self::wait_for_room).
+    drained: Condvar,
+    metrics: Arc<MuxMetrics>,
+}
+
+struct OutQueue {
+    buf: Vec<u8>,
+    /// Bytes of the batch the writer is writing now.
+    writing: usize,
+    /// Bytes owed to the queue: requests decoded but not yet answered.
+    reserved: usize,
+    /// A producer is parked on `drained`.
+    waiting: bool,
+    dead: bool,
+}
+
+impl OutQueue {
+    fn backlog(&self) -> usize {
+        self.buf.len() + self.writing + self.reserved
+    }
+}
+
+impl WriteQueue {
+    fn new(metrics: Arc<MuxMetrics>) -> Self {
+        WriteQueue {
+            out: Mutex::new(OutQueue {
+                buf: Vec::new(),
+                writing: 0,
+                reserved: 0,
+                waiting: false,
+                dead: false,
+            }),
+            ready: Condvar::new(),
+            drained: Condvar::new(),
+            metrics,
+        }
+    }
+
+    /// Appends with `fill` and wakes the writer; `None` (nothing
+    /// appended) once the queue is closed.
+    fn push<R>(&self, fill: impl FnOnce(&mut Vec<u8>) -> R) -> Option<R> {
+        self.settle(0, fill)
+    }
+
+    /// [`push`](Self::push) that also releases `owed` bytes of an earlier
+    /// [`reserve`](Self::reserve) in the same critical section, so the
+    /// backlog moves from the request to its reply in one step.
+    fn settle<R>(&self, owed: usize, fill: impl FnOnce(&mut Vec<u8>) -> R) -> Option<R> {
+        let filled = {
+            let mut out = self.out.lock().unwrap();
+            if out.dead {
+                return None;
+            }
+            out.reserved -= owed;
+            self.metrics.sub_queued_bytes(owed as u64);
+            let before = out.buf.len();
+            let filled = fill(&mut out.buf);
+            self.metrics
+                .add_queued_bytes((out.buf.len() - before) as u64);
+            filled
+        };
+        self.ready.notify_one();
+        Some(filled)
+    }
+
+    /// Charges `cost` bytes against the backlog until they are settled;
+    /// `false` once the queue is closed.
+    fn reserve(&self, cost: usize) -> bool {
+        let mut out = self.out.lock().unwrap();
+        if out.dead {
+            return false;
+        }
+        out.reserved += cost;
+        self.metrics.add_queued_bytes(cost as u64);
+        true
+    }
+
+    /// Blocks while the backlog exceeds `cap`, counting the wait as a
+    /// backpressure pause. Returns `false` once the queue is closed.
+    fn wait_for_room(&self, cap: usize) -> bool {
+        let mut out = self.out.lock().unwrap();
+        if out.backlog() > cap && !out.dead {
+            self.metrics.record_pause();
+            while out.backlog() > cap && !out.dead {
+                out.waiting = true;
+                out = self.drained.wait(out).unwrap();
+            }
+            self.metrics.record_unpause();
+        }
+        !out.dead
+    }
+
+    /// Closes the queue: discards unwritten bytes, tells the writer to
+    /// exit and wakes any producer waiting for room. Idempotent.
+    fn close(&self) {
+        {
+            let mut out = self.out.lock().unwrap();
+            if out.dead {
+                return;
+            }
+            out.dead = true;
+            self.metrics.sub_queued_bytes(out.backlog() as u64);
+            out.buf = Vec::new();
+            out.writing = 0;
+            out.reserved = 0;
+        }
+        self.ready.notify_all();
+        self.drained.notify_all();
+    }
+
+    /// The writer thread's loop. Returns `Ok` once the queue is closed,
+    /// or the error of the write that failed.
+    fn write_loop(&self, mut stream: &TcpStream) -> std::io::Result<()> {
+        let mut batch = Vec::new();
+        loop {
+            {
+                let mut out = self.out.lock().unwrap();
+                // The previous batch is on the wire.
+                let written = std::mem::take(&mut out.writing);
+                self.metrics.sub_queued_bytes(written as u64);
+                if std::mem::take(&mut out.waiting) {
+                    self.drained.notify_all();
+                }
+                loop {
+                    if out.dead {
+                        return Ok(());
+                    }
+                    if !out.buf.is_empty() {
+                        std::mem::swap(&mut batch, &mut out.buf);
+                        out.writing = batch.len();
+                        break;
+                    }
+                    out = self.ready.wait(out).unwrap();
+                }
+            }
+            stream.write_all(&batch)?;
+            batch.clear();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -105,20 +266,14 @@ impl WaitCell {
     }
 }
 
-/// The shared output buffer a connection's writer thread drains.
-struct OutQueue {
-    buf: Vec<u8>,
-    dead: bool,
-}
-
 /// One multiplexed connection: a writer thread serializing frames, a
 /// reader thread routing completions, and the routing table between them.
 struct MuxConn {
     addr: String,
-    /// Original stream handle, kept so teardown can unblock the reader.
+    /// Both threads read and write through this one handle; teardown
+    /// shuts it down to unblock them.
     stream: TcpStream,
-    out: Mutex<OutQueue>,
-    out_cv: Condvar,
+    queue: WriteQueue,
     pending: Mutex<PendingMap>,
     /// Fast liveness check for connection selection; authoritative state
     /// is `pending.dead`.
@@ -162,12 +317,7 @@ impl MuxConn {
         self.alive.store(false, Ordering::SeqCst);
         self.transport_metrics.record_connection_drop();
         let _ = self.stream.shutdown(Shutdown::Both);
-        {
-            let mut out = self.out.lock().unwrap();
-            out.dead = true;
-            out.buf.clear();
-        }
-        self.out_cv.notify_all();
+        self.queue.close();
         // Black-box the death while the evidence is fresh: what the mux
         // counters saw and what the trace rings hold, before the waiters
         // wake and their retries overwrite both.
@@ -197,34 +347,13 @@ impl MuxConn {
         }
     }
 
-    /// The writer loop: swap the shared buffer out under the lock, write
-    /// it without the lock. Submissions that arrive while a write syscall
-    /// is in progress coalesce into the next swap — under load, many
-    /// frames per syscall.
-    fn write_loop(&self, mut stream: TcpStream) {
-        let mut batch = Vec::new();
-        loop {
-            {
-                let mut out = self.out.lock().unwrap();
-                loop {
-                    if out.dead {
-                        return;
-                    }
-                    if !out.buf.is_empty() {
-                        std::mem::swap(&mut batch, &mut out.buf);
-                        break;
-                    }
-                    out = self.out_cv.wait(out).unwrap();
-                }
-            }
-            if let Err(e) = stream.write_all(&batch) {
-                self.teardown(conn_err(format!(
-                    "socket write to tcp://{}: {e}",
-                    self.addr
-                )));
-                return;
-            }
-            batch.clear();
+    /// The writer thread: under load, many frames per syscall.
+    fn write_loop(&self) {
+        if let Err(e) = self.queue.write_loop(&self.stream) {
+            self.teardown(conn_err(format!(
+                "socket write to tcp://{}: {e}",
+                self.addr
+            )));
         }
     }
 
@@ -232,7 +361,8 @@ impl MuxConn {
     /// waiter by frame id. Any violation — a request frame, an unknown or
     /// already-completed id, a framing error — kills this connection and
     /// only this connection.
-    fn read_loop(&self, mut stream: TcpStream, max_payload: u32) {
+    fn read_loop(&self, max_payload: u32) {
+        let mut stream = &self.stream;
         loop {
             let frame = match read_frame(&mut stream, max_payload) {
                 Ok(Some(frame)) => frame,
@@ -422,20 +552,10 @@ impl MuxTransport {
             .map_err(|e| conn_err(format!("dial tcp://{}: {e}", self.addr)))?;
         // Nagle would park small pipelined frames behind the previous ACK.
         let _ = stream.set_nodelay(true);
-        let reader_half = stream
-            .try_clone()
-            .map_err(|e| conn_err(format!("clone socket for tcp://{}: {e}", self.addr)))?;
-        let writer_half = stream
-            .try_clone()
-            .map_err(|e| conn_err(format!("clone socket for tcp://{}: {e}", self.addr)))?;
         let conn = Arc::new(MuxConn {
             addr: self.addr.clone(),
             stream,
-            out: Mutex::new(OutQueue {
-                buf: Vec::new(),
-                dead: false,
-            }),
-            out_cv: Condvar::new(),
+            queue: WriteQueue::new(Arc::clone(&self.mux_metrics)),
             pending: Mutex::new(PendingMap {
                 waiters: HashMap::new(),
                 dead: None,
@@ -449,13 +569,13 @@ impl MuxTransport {
         let for_reader = Arc::clone(&conn);
         let reader = std::thread::Builder::new()
             .name(format!("cca-mux-read-{}", self.addr))
-            .spawn(move || for_reader.read_loop(reader_half, max_payload));
+            .spawn(move || for_reader.read_loop(max_payload));
         let for_writer = Arc::clone(&conn);
         let writer = reader.and_then(|reader| {
             conn.threads.lock().unwrap().push(reader);
             std::thread::Builder::new()
                 .name(format!("cca-mux-write-{}", self.addr))
-                .spawn(move || for_writer.write_loop(writer_half))
+                .spawn(move || for_writer.write_loop())
         });
         match writer {
             Ok(writer) => {
@@ -532,29 +652,25 @@ impl MuxTransport {
                 .insert(request_id, PendingEntry::Live(Arc::clone(&cell)));
         }
         self.mux_metrics.record_begin();
-        let enqueued = {
-            let mut out = conn.out.lock().unwrap();
-            if out.dead {
-                Ok(())
-            } else {
-                encode_frame_onto(
-                    &mut out.buf,
-                    FrameKind::Bulk,
-                    request_id,
-                    slab,
-                    self.max_payload,
-                    context,
-                )
-            }
-        };
-        if let Err(err) = enqueued {
+        // A dead queue means teardown already delivered the error to our
+        // cell; `wait` surfaces it.
+        let enqueued = conn.queue.push(|buf| {
+            encode_frame_onto(
+                buf,
+                FrameKind::Bulk,
+                request_id,
+                slab,
+                self.max_payload,
+                context,
+            )
+        });
+        if let Some(Err(err)) = enqueued {
             // Oversize slab: nothing was written, so unhook the waiter
             // instead of leaving a request id that can never complete.
             conn.pending.lock().unwrap().waiters.remove(&request_id);
             self.mux_metrics.record_end();
             return Err(err.into());
         }
-        conn.out_cv.notify_one();
         Ok(PendingReply {
             cell: Some(cell),
             conn,
@@ -592,32 +708,26 @@ impl MuxTransport {
                 .insert(request_id, PendingEntry::Live(Arc::clone(&cell)));
         }
         self.mux_metrics.record_begin();
-        let enqueued = {
-            let mut out = conn.out.lock().unwrap();
-            if out.dead {
-                Ok(())
-            } else {
-                encode_frame_header_onto(
-                    &mut out.buf,
-                    FrameKind::Bulk,
-                    request_id,
-                    payload_len,
-                    self.max_payload,
-                    context,
-                )
-                .map(|()| {
-                    let at = out.buf.len();
-                    out.buf.resize(at + payload_len, 0);
-                    fill(&mut out.buf[at..]);
-                })
-            }
-        };
-        if let Err(err) = enqueued {
+        let enqueued = conn.queue.push(|buf| {
+            encode_frame_header_onto(
+                buf,
+                FrameKind::Bulk,
+                request_id,
+                payload_len,
+                self.max_payload,
+                context,
+            )
+            .map(|()| {
+                let at = buf.len();
+                buf.resize(at + payload_len, 0);
+                fill(&mut buf[at..]);
+            })
+        });
+        if let Some(Err(err)) = enqueued {
             conn.pending.lock().unwrap().waiters.remove(&request_id);
             self.mux_metrics.record_end();
             return Err(err.into());
         }
-        conn.out_cv.notify_one();
         Ok(PendingReply {
             cell: Some(cell),
             conn,
@@ -652,16 +762,10 @@ impl MuxTransport {
                 .insert(request_id, PendingEntry::Live(Arc::clone(&cell)));
         }
         self.mux_metrics.record_begin();
-        {
-            let mut out = conn.out.lock().unwrap();
-            // If the connection died between the two locks, teardown has
-            // already delivered the error to our cell; skip the enqueue
-            // and let `wait` surface it.
-            if !out.dead {
-                out.buf.extend_from_slice(&framed);
-            }
-        }
-        conn.out_cv.notify_one();
+        // If the connection died between the two locks, teardown has
+        // already delivered the error to our cell; nothing is enqueued and
+        // `wait` surfaces it.
+        conn.queue.push(|buf| buf.extend_from_slice(&framed));
         Ok(PendingReply {
             cell: Some(cell),
             conn,
@@ -852,17 +956,20 @@ impl Drop for PendingReply {
 // ---------------------------------------------------------------------------
 
 /// Tuning knobs for a [`MuxServer`]. `Default` is sized for tests and
-/// moderate service; the E13 bench overrides nothing.
+/// moderate service; the fleet hub raises `dispatch_threads` so its
+/// parked long-polls cannot starve other calls.
 #[derive(Debug, Clone)]
 pub struct MuxServerConfig {
     /// Dispatch worker threads (completions may finish out of order up to
     /// this parallelism).
     pub dispatch_threads: usize,
-    /// Per-connection cap on buffered reply bytes; beyond it the loop
-    /// stops reading that connection until the buffer drains.
+    /// Per-connection cap on unanswered bytes (requests in dispatch plus
+    /// unwritten replies); beyond it the connection's reader stops
+    /// reading until its writer drains the backlog.
     pub write_buffer_cap: usize,
-    /// Live-connection bound: accepts beyond it are refused immediately
-    /// (the bounded accept/handshake concurrency).
+    /// Live-connection bound: accepts beyond it are refused immediately.
+    /// Each live connection holds a reader and a writer thread, so this
+    /// also bounds the server's threads.
     pub max_connections: usize,
     /// Frame payload cap (both directions).
     pub max_payload: u32,
@@ -895,25 +1002,28 @@ pub trait SessionSink: Send + Sync {
     fn leave(&self, session: u64, goodbye: Bytes) -> Result<Vec<u8>, SidlError>;
 
     /// Connection `session` died (EOF, reset, framing violation) after a
-    /// successful `Join` frame was decoded on it. Called from the event
-    /// loop's reap pass — implementations must not block.
+    /// successful `Join` frame was decoded on it. Called once, from the
+    /// connection's reader thread — implementations must not block.
+    /// Connections closed by [`MuxServer::shutdown`] are not reported.
     fn disconnected(&self, session: u64);
 }
 
 /// One unit of work for the dispatch pool.
 struct Job {
-    conn_id: u64,
+    conn: Arc<ServerConn>,
     request_id: u64,
     /// `Request` goes to the [`Dispatcher`]; `Bulk` goes to the installed
     /// [`BulkSink`]; `Join`/`Leave` go to the installed [`SessionSink`].
     /// (`Reply` never reaches the queue.)
+    ///
+    /// [`BulkSink`]: crate::bulk::BulkSink
     kind: FrameKind,
     payload: Bytes,
     /// The caller's trace identity from the frame, installed around the
     /// dispatch so the worker's spans join the caller's trace.
     context: Option<TraceContext>,
-    /// Bytes this job charges against its connection's backlog until the
-    /// reply lands in the write buffer (see [`ServerConn::pending_cost`]).
+    /// Bytes reserved on the connection's write queue until the reply
+    /// settles them.
     cost: usize,
 }
 
@@ -922,70 +1032,58 @@ struct JobQueue {
     shutting_down: bool,
 }
 
-/// A connection as the event loop sees it.
+/// One accepted connection, shared by its reader and writer threads and
+/// by the dispatch workers answering its requests.
 struct ServerConn {
+    /// Unique for the server's lifetime: the [`SessionSink`]'s session id.
     id: u64,
     stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Encoded reply bytes awaiting the socket, with a cursor instead of
-    /// repeated front-drains.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Request bytes decoded but not yet answered into `out`. Without this
-    /// the read loop sees zero backlog for a whole pass (completions only
-    /// reach `out` on a later pass) and a single pass can swallow an
-    /// arbitrarily large burst into the job queue.
-    pending_cost: usize,
-    /// Reads paused by backpressure?
-    paused: bool,
-    closed: bool,
-    /// A `Join` frame was decoded on this connection: its death must be
-    /// reported to the [`SessionSink`] as a rank death.
-    joined: bool,
+    queue: WriteQueue,
 }
 
+/// A live connection and its writer thread.
+type ConnEntry = (Arc<ServerConn>, JoinHandle<()>);
+
 impl ServerConn {
-    /// Unanswered work held for this connection: unflushed reply bytes
-    /// plus requests still in (or bound for) the dispatch pool.
-    fn backlog(&self) -> usize {
-        self.out.len() - self.out_pos + self.pending_cost
+    /// Ends the connection: drops unwritten replies, stops the writer,
+    /// and shuts the socket so the reader's blocking `read` returns.
+    fn close(&self) {
+        self.queue.close();
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
-/// The event-driven multiplexing server: a readiness loop over nonblocking
-/// sockets, dispatching into the same [`Dispatcher`] as [`crate::TcpServer`]
-/// — a servant, a test battery, or the Figure-2 pipeline cannot tell the
-/// two apart.
+/// The multiplexing server: per connection, a blocking reader thread and
+/// a writer thread, dispatching into the same [`Dispatcher`] as every
+/// other transport — a servant, a test battery, or the Figure-2 pipeline
+/// cannot tell a pooled caller from a multiplexed one.
 ///
-/// Thread budget is *fixed*, independent of peer count: one accept thread,
-/// one event-loop thread, `dispatch_threads` workers. Ten thousand logical
-/// clients over eight sockets cost the same threads as one.
+/// Thread budget: one accept thread, `dispatch_threads` workers, and two
+/// threads per live connection, bounded by `max_connections`. Ten
+/// thousand logical clients over eight sockets cost sixteen connection
+/// threads.
 ///
-/// Fault injection mirrors [`crate::TcpServer::set_fault_plan`]: the drop
-/// decision is made on the event loop as each request frame is decoded, so
-/// a serialized client observes a schedule that is a pure function of the
-/// seed.
+/// Fault injection: [`set_fault_plan`](Self::set_fault_plan) hangs up a
+/// connection after decoding a request and before replying — the worst
+/// moment.
 pub struct MuxServer {
     local_addr: SocketAddr,
     dispatcher: Arc<dyn Dispatcher>,
     config: MuxServerConfig,
     shutting_down: AtomicBool,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
-    event_thread: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Accepted sockets awaiting registration by the event loop.
-    incoming: Mutex<Vec<TcpStream>>,
-    /// Live + pending-registration connections, maintained for the accept
-    /// bound.
+    /// Live connections by id, each with its writer thread. A reader
+    /// removes its own entry, and joins the writer, when its connection
+    /// ends.
+    conns: Mutex<HashMap<u64, ConnEntry>>,
+    /// Reader threads, each returning how many writers it joined.
+    /// Finished ones are joined at the next accept.
+    readers: Mutex<Vec<JoinHandle<usize>>>,
+    /// Connections whose reader has not finished, for the accept bound.
     live_conns: AtomicUsize,
     jobs: Mutex<JobQueue>,
     jobs_cv: Condvar,
-    /// Completed dispatches awaiting the event loop:
-    /// `(conn id, job cost, frame)`.
-    completed: Mutex<Vec<(u64, usize, Vec<u8>)>>,
-    /// Event-loop wakeup: workers and the accept thread set the flag.
-    wake: Mutex<bool>,
-    wake_cv: Condvar,
     accepted: AtomicU64,
     rejected_over_capacity: AtomicU64,
     dispatched: AtomicU64,
@@ -1004,7 +1102,7 @@ pub struct MuxServer {
 
 impl MuxServer {
     /// Binds `addr` (port 0 for ephemeral) with default tuning and starts
-    /// the accept thread, event loop, and dispatch pool.
+    /// the accept thread and dispatch pool.
     pub fn bind(
         addr: impl ToSocketAddrs,
         dispatcher: Arc<dyn Dispatcher>,
@@ -1027,18 +1125,15 @@ impl MuxServer {
             config,
             shutting_down: AtomicBool::new(false),
             accept_thread: Mutex::new(None),
-            event_thread: Mutex::new(None),
             workers: Mutex::new(Vec::new()),
-            incoming: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
+            readers: Mutex::new(Vec::new()),
             live_conns: AtomicUsize::new(0),
             jobs: Mutex::new(JobQueue {
                 jobs: VecDeque::new(),
                 shutting_down: false,
             }),
             jobs_cv: Condvar::new(),
-            completed: Mutex::new(Vec::new()),
-            wake: Mutex::new(false),
-            wake_cv: Condvar::new(),
             accepted: AtomicU64::new(0),
             rejected_over_capacity: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
@@ -1054,12 +1149,6 @@ impl MuxServer {
             std::thread::Builder::new()
                 .name(format!("cca-mux-accept-{local_addr}"))
                 .spawn(move || for_accept.accept_loop(listener))?,
-        );
-        let for_events = Arc::clone(&server);
-        *server.event_thread.lock().unwrap() = Some(
-            std::thread::Builder::new()
-                .name(format!("cca-mux-events-{local_addr}"))
-                .spawn(move || for_events.event_loop())?,
         );
         let mut workers = server.workers.lock().unwrap();
         for i in 0..dispatch_threads {
@@ -1118,16 +1207,21 @@ impl MuxServer {
     /// Installs the fleet session sink: decoded `Join`/`Leave` frames are
     /// handed to `sink` on a dispatch worker (its returned bytes are the
     /// reply), and the death of any connection that joined is reported
-    /// via [`SessionSink::disconnected`] from the reap pass. Without a
-    /// sink, join/leave frames are protocol violations.
+    /// via [`SessionSink::disconnected`] from that connection's reader.
+    /// Without a sink, join/leave frames are protocol violations.
     pub fn set_session_sink(&self, sink: Arc<dyn SessionSink>) {
         *self.session_sink.lock().unwrap() = Some(sink);
     }
 
-    /// Arms (or disarms with `drop_permille == 0`) the hostile-network
-    /// fault plan — same contract as [`crate::TcpServer::set_fault_plan`]:
-    /// the schedule is a pure function of `seed`, drawn once per request
-    /// in the order the event loop decodes them.
+    /// Arms (or, with `drop_permille == 0`, disarms) the hostile-network
+    /// fault plan: out of every 1000 decoded requests (statistically),
+    /// `drop_permille` have their connection closed before any reply is
+    /// written. Each connection's reader draws once per request, in the
+    /// order it decodes them, from one generator seeded with `seed` — so
+    /// a serialized client observes a schedule that is a pure function of
+    /// the seed, the same contract as
+    /// [`FaultTransport`](crate::resilient::FaultTransport), and the CI
+    /// fault matrix replays identically per `CCA_FAULT_SEED`.
     pub fn set_fault_plan(&self, seed: u64, drop_permille: u64) {
         *self.fault_draws.lock().unwrap() = SplitMix64::new(seed);
         self.drop_permille.store(drop_permille, Ordering::SeqCst);
@@ -1139,11 +1233,6 @@ impl MuxServer {
             return false;
         }
         self.fault_draws.lock().unwrap().next_below(1000) < permille
-    }
-
-    fn wake_event_loop(&self) {
-        *self.wake.lock().unwrap() = true;
-        self.wake_cv.notify_one();
     }
 
     fn accept_loop(self: Arc<Self>, listener: TcpListener) {
@@ -1160,10 +1249,20 @@ impl MuxServer {
                 continue;
             }
             let _ = stream.set_nodelay(true);
-            self.accepted.fetch_add(1, Ordering::Relaxed);
+            let id = self.accepted.fetch_add(1, Ordering::Relaxed) + 1;
             self.live_conns.fetch_add(1, Ordering::SeqCst);
-            self.incoming.lock().unwrap().push(stream);
-            self.wake_event_loop();
+            let mut readers = self.readers.lock().unwrap();
+            // Joining a reader that has finished does not block.
+            for done in readers.extract_if(.., |h| h.is_finished()) {
+                let _ = done.join();
+            }
+            match self.spawn_connection(id, stream) {
+                Ok(reader) => readers.push(reader),
+                // Spawn failed: the socket drops and the peer sees EOF.
+                Err(_) => {
+                    self.live_conns.fetch_sub(1, Ordering::SeqCst);
+                }
+            }
         }
     }
 
@@ -1181,14 +1280,6 @@ impl MuxServer {
                     queue = self.jobs_cv.wait(queue).unwrap();
                 }
             };
-            // Dispatch errors mean the payload was undecodable — the
-            // dispatcher marshals servant errors into replies — which is a
-            // protocol violation. The reply is simply not produced; the
-            // event loop closed (or will close) hostile connections via
-            // framing errors, and a client that sent garbage inside a
-            // valid frame observes its call never completing against its
-            // deadline. To keep parity with `TcpServer` (which hangs up),
-            // we enqueue a sentinel close instead.
             let outcome = {
                 // Adopt the caller's wire identity for the dispatch: the
                 // ORB's dispatch span parents to the client's call span.
@@ -1198,8 +1289,7 @@ impl MuxServer {
                         // Data plane: the slab goes to the sink, not the
                         // dispatcher; the sink's ack bytes are the reply.
                         // The sink is checked at decode time, so absence
-                        // here means it was uninstalled mid-flight — the
-                        // close sentinel handles that too.
+                        // here means it was uninstalled mid-flight.
                         let sink = self.bulk_sink.lock().unwrap().clone();
                         match sink {
                             Some(sink) => sink.receive(job.payload).map(Bytes::from),
@@ -1215,9 +1305,9 @@ impl MuxServer {
                         let sink = self.session_sink.lock().unwrap().clone();
                         match sink {
                             Some(sink) if job.kind == FrameKind::Join => {
-                                sink.join(job.conn_id, job.payload).map(Bytes::from)
+                                sink.join(job.conn.id, job.payload).map(Bytes::from)
                             }
-                            Some(sink) => sink.leave(job.conn_id, job.payload).map(Bytes::from),
+                            Some(sink) => sink.leave(job.conn.id, job.payload).map(Bytes::from),
                             None => Err(SidlError::user(
                                 "cca.rpc.FleetViolation",
                                 "no session sink installed",
@@ -1227,234 +1317,139 @@ impl MuxServer {
                     _ => self.dispatcher.dispatch(job.payload),
                 }
             };
-            match outcome {
-                Ok(reply) => {
-                    match encode_frame(
-                        FrameKind::Reply,
-                        job.request_id,
-                        reply.as_ref(),
-                        self.config.max_payload,
-                    ) {
-                        Ok(framed) => {
-                            self.completed
-                                .lock()
-                                .unwrap()
-                                .push((job.conn_id, job.cost, framed));
-                        }
-                        Err(_) => {
-                            // Reply exceeds the frame cap: close the
-                            // connection (empty frame = close sentinel).
-                            self.completed.lock().unwrap().push((
-                                job.conn_id,
-                                job.cost,
-                                Vec::new(),
-                            ));
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.completed
-                        .lock()
-                        .unwrap()
-                        .push((job.conn_id, job.cost, Vec::new()));
-                }
+            // The reply takes the request's place in the connection's
+            // backlog. `None`: the connection died mid-dispatch.
+            let answered = job.conn.queue.settle(job.cost, |buf| {
+                let reply = outcome.ok()?;
+                encode_frame_onto(
+                    buf,
+                    FrameKind::Reply,
+                    job.request_id,
+                    reply.as_ref(),
+                    self.config.max_payload,
+                    None,
+                )
+                .ok()?;
+                self.dispatched.fetch_add(1, Ordering::Relaxed);
+                Some(())
+            });
+            if answered == Some(None) {
+                // A dispatch error means the payload was undecodable (the
+                // dispatcher marshals servant errors into replies), or the
+                // reply exceeds the frame cap: a protocol violation,
+                // handled like a framing one — hang up.
+                job.conn.close();
             }
             self.metrics.record_end();
-            self.wake_event_loop();
         }
     }
 
-    /// The readiness loop. Std-only means no `epoll`: readiness is
-    /// discovered by attempting nonblocking reads/writes each pass and
-    /// parking briefly (or until a worker/acceptor wakes us) when a full
-    /// pass makes no progress. Under load the loop never parks; idle it
-    /// costs one wakeup per park interval.
-    fn event_loop(self: Arc<Self>) {
-        let mut conns: Vec<ServerConn> = Vec::new();
-        let mut next_conn_id: u64 = 0;
+    /// Starts connection `id`'s writer and reader threads and registers
+    /// the connection; returns the reader's handle.
+    fn spawn_connection(
+        self: &Arc<Self>,
+        id: u64,
+        stream: TcpStream,
+    ) -> std::io::Result<JoinHandle<usize>> {
+        let conn = Arc::new(ServerConn {
+            id,
+            stream,
+            queue: WriteQueue::new(Arc::clone(&self.metrics)),
+        });
+        // Held across both spawns, so the reader cannot look for its
+        // entry before the entry exists.
+        let mut conns = self.conns.lock().unwrap();
+        let for_writer = Arc::clone(&conn);
+        let writer = std::thread::Builder::new()
+            .name(format!("cca-mux-reply-{id}"))
+            .spawn(move || {
+                if for_writer.queue.write_loop(&for_writer.stream).is_err() {
+                    for_writer.close();
+                }
+            })?;
+        let me = Arc::clone(self);
+        let for_reader = Arc::clone(&conn);
+        match std::thread::Builder::new()
+            .name(format!("cca-mux-serve-{id}"))
+            .spawn(move || me.serve_connection(for_reader))
+        {
+            Ok(reader) => {
+                conns.insert(id, (conn, writer));
+                Ok(reader)
+            }
+            Err(e) => {
+                conn.close();
+                let _ = writer.join();
+                Err(e)
+            }
+        }
+    }
+
+    /// A connection's reader thread: reads until the peer hangs up, a
+    /// violation or an armed fault ends the connection, or
+    /// [`shutdown`](Self::shutdown) closes it; then closes and forgets
+    /// the connection and joins its writer. Returns the number of
+    /// writers joined.
+    fn serve_connection(&self, conn: Arc<ServerConn>) -> usize {
+        let joined_fleet = self.read_loop(&conn);
+        conn.close();
+        let entry = self.conns.lock().unwrap().remove(&conn.id);
+        let writers = entry.map_or(0, |(_, writer)| {
+            let _ = writer.join();
+            1
+        });
+        // A joined connection's death IS the rank-death signal; a
+        // connection closed by `shutdown` did not die.
+        if joined_fleet && !self.shutting_down.load(Ordering::SeqCst) {
+            let sink = self.session_sink.lock().unwrap().clone();
+            if let Some(sink) = sink {
+                sink.disconnected(conn.id);
+            }
+        }
+        self.live_conns.fetch_sub(1, Ordering::SeqCst);
+        writers
+    }
+
+    /// Reads and decodes frames until the connection must end. Returns
+    /// whether a `Join` frame was decoded on it.
+    fn read_loop(&self, conn: &Arc<ServerConn>) -> bool {
         // Per-read ceiling, sized for the bulk plane: megabyte slabs
-        // arrive in a handful of reads instead of sixteen, and the loop
-        // visits each connection that much less often per byte moved.
+        // arrive in a handful of reads instead of sixteen.
         const READ_CHUNK: usize = 256 << 10;
-        loop {
-            let mut progressed = false;
-
-            // New connections, registered nonblocking.
-            {
-                let mut incoming = self.incoming.lock().unwrap();
-                for stream in incoming.drain(..) {
-                    if stream.set_nonblocking(true).is_err() {
-                        self.live_conns.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    next_conn_id += 1;
-                    conns.push(ServerConn {
-                        id: next_conn_id,
-                        stream,
-                        decoder: FrameDecoder::with_max_payload(self.config.max_payload),
-                        out: Vec::new(),
-                        out_pos: 0,
-                        pending_cost: 0,
-                        paused: false,
-                        closed: false,
-                        joined: false,
-                    });
-                    progressed = true;
-                }
-            }
-
-            // Completed dispatches into per-connection write buffers.
-            {
-                let mut completed = self.completed.lock().unwrap();
-                for (conn_id, cost, framed) in completed.drain(..) {
-                    progressed = true;
-                    let Some(conn) = conns.iter_mut().find(|c| c.id == conn_id && !c.closed) else {
-                        continue; // connection died mid-dispatch
-                    };
-                    conn.pending_cost = conn.pending_cost.saturating_sub(cost);
-                    if framed.is_empty() {
-                        // Close sentinel: undecodable payload or oversized
-                        // reply — hang up, like the blocking server.
-                        conn.closed = true;
-                        continue;
-                    }
-                    conn.out.extend_from_slice(&framed);
-                    self.dispatched.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-
-            let shutting_down = self.shutting_down.load(Ordering::SeqCst);
-
-            for conn in conns.iter_mut() {
-                if conn.closed {
-                    continue;
-                }
-                // Flush pending replies (nonblocking).
-                while conn.out_pos < conn.out.len() {
-                    match conn.stream.write(&conn.out[conn.out_pos..]) {
-                        Ok(0) => {
-                            conn.closed = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            conn.out_pos += n;
-                            progressed = true;
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            conn.closed = true;
-                            break;
-                        }
+        let mut decoder = FrameDecoder::with_max_payload(self.config.max_payload);
+        let mut joined_fleet = false;
+        let mut stream = &conn.stream;
+        // Backpressure: a connection whose replies aren't draining gets
+        // no further reads until its writer catches up.
+        while conn.queue.wait_for_room(self.config.write_buffer_cap) {
+            // Straight into the decoder's buffer — no scratch hop, the
+            // payload bytes are copied exactly once between socket and
+            // frame.
+            match decoder.fill_from(&mut stream, READ_CHUNK) {
+                Ok(0) => break,
+                Ok(_) => {
+                    if !self.drain_frames(conn, &mut decoder, &mut joined_fleet) {
+                        break;
                     }
                 }
-                if conn.out_pos == conn.out.len() && conn.out_pos > 0 {
-                    conn.out.clear();
-                    conn.out_pos = 0;
-                }
-                if conn.closed || shutting_down {
-                    continue;
-                }
-
-                // Backpressure: a connection whose replies aren't draining
-                // gets no further reads until the backlog clears.
-                conn.paused = conn.backlog() > self.config.write_buffer_cap;
-                if conn.paused {
-                    continue;
-                }
-
-                // Read whatever is ready, straight into the decoder's
-                // buffer — no scratch hop, the payload bytes are copied
-                // exactly once between socket and frame.
-                loop {
-                    match conn.decoder.fill_from(&mut conn.stream, READ_CHUNK) {
-                        Ok(0) => {
-                            conn.closed = true;
-                            break;
-                        }
-                        Ok(_) => {
-                            progressed = true;
-                            if !self.drain_frames(conn) {
-                                break;
-                            }
-                            // Keep reading only while the backlog is sane;
-                            // a huge burst re-checks backpressure next pass.
-                            if conn.backlog() > self.config.write_buffer_cap {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            conn.closed = true;
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Reap closed connections. A joined connection's death IS the
-            // rank-death signal: report it before the conn is forgotten.
-            let before = conns.len();
-            let session_sink = if conns.iter().any(|c| c.closed && c.joined) {
-                self.session_sink.lock().unwrap().clone()
-            } else {
-                None
-            };
-            conns.retain(|c| {
-                if c.closed {
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    if c.joined {
-                        if let Some(sink) = &session_sink {
-                            sink.disconnected(c.id);
-                        }
-                    }
-                }
-                !c.closed
-            });
-            if conns.len() != before {
-                self.live_conns
-                    .fetch_sub(before - conns.len(), Ordering::SeqCst);
-                progressed = true;
-            }
-
-            // Publish depth metrics once per pass (cheap stores).
-            self.metrics
-                .set_queued_bytes(conns.iter().map(|c| c.backlog() as u64).sum());
-            self.metrics
-                .set_paused_connections(conns.iter().filter(|c| c.paused).count() as u64);
-
-            if shutting_down {
-                // Drain phase: exit once nothing is left to flush (or the
-                // peers are gone). Workers were already told to stop.
-                for conn in &conns {
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                }
-                return;
-            }
-
-            if !progressed {
-                let mut woken = self.wake.lock().unwrap();
-                if !*woken {
-                    // Park briefly: worker completions and new accepts
-                    // set the flag; incoming bytes on nonblocking sockets
-                    // cannot, so the timeout is the poll interval.
-                    let (guard, _) = self
-                        .wake_cv
-                        .wait_timeout(woken, Duration::from_micros(200))
-                        .unwrap();
-                    woken = guard;
-                }
-                *woken = false;
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
             }
         }
+        joined_fleet
     }
 
-    /// Decodes every complete frame buffered on `conn`; returns `false`
-    /// when the connection must close (violation or armed fault).
-    fn drain_frames(&self, conn: &mut ServerConn) -> bool {
+    /// Queues every complete frame buffered in `decoder` for dispatch;
+    /// returns `false` when the connection must close (violation or
+    /// armed fault).
+    fn drain_frames(
+        &self,
+        conn: &Arc<ServerConn>,
+        decoder: &mut FrameDecoder,
+        joined_fleet: &mut bool,
+    ) -> bool {
         loop {
-            match conn.decoder.next_frame() {
+            match decoder.next_frame() {
                 Ok(Some(Frame {
                     kind:
                         kind @ (FrameKind::Request
@@ -1469,7 +1464,6 @@ impl MuxServer {
                         // Data-plane frame at a server with no data plane:
                         // protocol violation, same as a client reply.
                         self.metrics.record_protocol_violation();
-                        conn.closed = true;
                         return false;
                     }
                     if matches!(kind, FrameKind::Join | FrameKind::Leave)
@@ -1478,30 +1472,30 @@ impl MuxServer {
                         // Fleet frame at a server with no fleet: protocol
                         // violation, same blast radius as above.
                         self.metrics.record_protocol_violation();
-                        conn.closed = true;
                         return false;
                     }
                     if kind == FrameKind::Join {
                         // Marked at decode time, not dispatch time, so a
                         // death between the two is still reported.
-                        conn.joined = true;
+                        *joined_fleet = true;
                     }
                     if self.should_drop() {
                         self.dropped_mid_call.fetch_add(1, Ordering::Relaxed);
                         cca_obs::trace_instant("rpc.mux.injected_drop");
-                        conn.closed = true;
                         return false;
                     }
-                    self.metrics.record_begin();
                     // Charge at least the header so a flood of empty
                     // requests still accumulates backlog. Bulk frames
                     // charge their full slab, so the write-buffer cap
                     // bounds in-memory payload per connection for the
                     // data plane exactly as for replies.
                     let cost = payload.len() + FRAME_HEADER_LEN;
-                    conn.pending_cost += cost;
+                    if !conn.queue.reserve(cost) {
+                        return false;
+                    }
+                    self.metrics.record_begin();
                     self.jobs.lock().unwrap().jobs.push_back(Job {
-                        conn_id: conn.id,
+                        conn: Arc::clone(conn),
                         request_id,
                         kind,
                         context,
@@ -1514,46 +1508,42 @@ impl MuxServer {
                     // A reply frame from a client: mux violation — this
                     // connection dies, others are untouched.
                     self.metrics.record_protocol_violation();
-                    conn.closed = true;
                     return false;
                 }
                 Ok(None) => return true,
-                Err(_) => {
-                    // Framing violation: no resync point, hang up.
-                    conn.closed = true;
-                    return false;
-                }
+                // Framing violation: no resync point, hang up.
+                Err(_) => return false,
             }
         }
     }
 
-    /// Stops the server: closes the listener path, tells workers and the
-    /// event loop to exit, closes every live connection, joins every
-    /// thread. Returns the number of threads joined; idempotent — later
-    /// calls return 0.
+    /// Stops the server: stops accepting, closes every live connection,
+    /// lets the dispatch pool finish its queue, and joins every thread.
+    /// Returns the number of threads joined; idempotent — later calls
+    /// return 0.
     pub fn shutdown(&self) -> usize {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return 0;
         }
-        // Unblock the accept thread.
-        let _ = TcpStream::connect(self.local_addr);
-        // Tell the workers to finish the queue and exit.
-        {
-            let mut queue = self.jobs.lock().unwrap();
-            queue.shutting_down = true;
-        }
-        self.jobs_cv.notify_all();
-        self.wake_event_loop();
         let mut joined = 0;
+        // Unblock the accept thread; once it is joined, no connection can
+        // appear.
+        let _ = TcpStream::connect(self.local_addr);
         if let Some(h) = self.accept_thread.lock().unwrap().take() {
             let _ = h.join();
             joined += 1;
         }
-        for h in self.workers.lock().unwrap().drain(..) {
-            let _ = h.join();
-            joined += 1;
+        for (conn, _) in self.conns.lock().unwrap().values() {
+            conn.close();
         }
-        if let Some(h) = self.event_thread.lock().unwrap().take() {
+        // Each reader forgets its connection and joins its writer.
+        let readers: Vec<_> = self.readers.lock().unwrap().drain(..).collect();
+        for h in readers {
+            joined += 1 + h.join().unwrap_or(0);
+        }
+        self.jobs.lock().unwrap().shutting_down = true;
+        self.jobs_cv.notify_all();
+        for h in self.workers.lock().unwrap().drain(..) {
             let _ = h.join();
             joined += 1;
         }
@@ -1920,8 +1910,9 @@ mod tests {
         objref
             .invoke("double", vec![DynValue::Double(1.0)])
             .unwrap();
-        // accept + event loop + 4 default workers.
-        assert_eq!(server.shutdown(), 6);
+        // accept + 4 default workers + the one connection's reader and
+        // writer.
+        assert_eq!(server.shutdown(), 7);
         assert_eq!(server.shutdown(), 0);
         assert!(objref
             .invoke("double", vec![DynValue::Double(1.0)])

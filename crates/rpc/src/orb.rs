@@ -140,8 +140,8 @@ impl ObjRef {
         Self::new(key, LoopbackTransport::new(orb))
     }
 
-    /// Convenience: a reference to a servant hosted by a
-    /// [`TcpServer`](crate::tcp::TcpServer) at `addr` — the genuinely
+    /// Convenience: a pooled reference to a servant hosted by a
+    /// [`MuxServer`](crate::mux::MuxServer) at `addr` — the genuinely
     /// distributed configuration of §4, with default pool and no socket
     /// timeout (build a [`crate::tcp::TcpTransport`] directly for those).
     pub fn tcp(key: impl Into<String>, addr: impl Into<String>) -> Arc<Self> {

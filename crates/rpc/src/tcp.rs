@@ -1,40 +1,30 @@
-//! A real network transport: blocking TCP with framed messages.
+//! The pooled TCP client: one framed request/reply exchange per
+//! checked-out connection.
 //!
 //! §4 of the paper spans "distributed computing" alongside same-process
-//! direct connect; until now the ORB only shipped a loopback. This module
-//! is the wire:
+//! direct connect. [`TcpTransport`] is the simplest client of the wire:
+//! a bounded connection pool (callers beyond the cap wait, they do not
+//! dial), per-call socket timeouts that surface as the existing
+//! `cca.rpc.DeadlineExceeded` exception (so `CallPolicy` deadlines and
+//! socket deadlines read the same), and connection failures surfaced as
+//! typed [`CONNECTION_EXCEPTION_TYPE`] errors — which feed the circuit
+//! breaker exactly like a wedged local provider, and dialing fresh on the
+//! next call is the breaker's half-open probe.
 //!
-//! * [`TcpServer`] — a threaded `std::net` server (vendor policy: no new
-//!   deps). One accept thread, one handler thread per connection, each
-//!   reading [`frame`](crate::frame)d requests and dispatching into the
-//!   same [`Dispatcher`] the loopback uses — a servant cannot tell whether
-//!   its caller is local or remote. [`TcpServer::shutdown`] closes every
-//!   live socket and joins every thread it spawned.
-//! * [`TcpTransport`] — the client side: a bounded connection pool
-//!   (callers beyond the cap wait, they do not dial), per-call socket
-//!   timeouts that surface as the existing `cca.rpc.DeadlineExceeded`
-//!   exception (so `CallPolicy` deadlines and socket deadlines read the
-//!   same), and connection failures surfaced as typed
-//!   [`CONNECTION_EXCEPTION_TYPE`] errors — which feed the PR-3 circuit
-//!   breaker exactly like a wedged local provider, and dialing fresh on
-//!   the next call is the breaker's half-open probe.
-//!
-//! Fault injection for the hostile-network battery lives server-side:
-//! [`TcpServer::set_fault_plan`] arms a seeded schedule that hangs up
-//! *after* reading a request and *before* replying — the worst moment.
+//! Its server is [`MuxServer`](crate::mux::MuxServer): the wire format is
+//! the same for pooled and multiplexed callers, and a pooled connection
+//! is simply one that never has more than one request in flight.
 
-use crate::frame::{read_frame, write_frame, write_frame_with, FrameKind, DEFAULT_MAX_PAYLOAD};
-use crate::transport::{Dispatcher, Transport};
+use crate::frame::{read_frame, write_frame_with, FrameKind, DEFAULT_MAX_PAYLOAD};
+use crate::transport::Transport;
 use bytes::Bytes;
-use cca_core::resilience::{SplitMix64, DEADLINE_EXCEPTION_TYPE};
+use cca_core::resilience::DEADLINE_EXCEPTION_TYPE;
 use cca_obs::TransportMetrics;
 use cca_sidl::SidlError;
-use std::collections::HashMap;
 use std::io::ErrorKind;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The SIDL exception type for transport-level connection failures: failed
@@ -52,225 +42,6 @@ fn conn_err(message: impl Into<String>) -> SidlError {
         cca_obs::flight::record_incident("ConnectionFailure", &message);
     }
     SidlError::user(CONNECTION_EXCEPTION_TYPE, message)
-}
-
-// ---------------------------------------------------------------------------
-// Server
-// ---------------------------------------------------------------------------
-
-/// A blocking, threaded TCP server dispatching framed requests into a
-/// [`Dispatcher`]. Connection lifecycle: accept → one handler thread →
-/// read frames until EOF, error, or an armed fault fires.
-pub struct TcpServer {
-    local_addr: SocketAddr,
-    dispatcher: Arc<dyn Dispatcher>,
-    max_payload: u32,
-    shutting_down: AtomicBool,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
-    /// `try_clone`d handles of live connections by accept number, so
-    /// `shutdown` can unblock handler threads parked in `read`. A handler
-    /// removes its own entry when its connection ends.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    /// Handler threads; finished ones are joined at the next accept.
-    handlers: Mutex<Vec<JoinHandle<()>>>,
-    accepted: AtomicU64,
-    dispatched: AtomicU64,
-    dropped_mid_call: AtomicU64,
-    drop_permille: AtomicU64,
-    fault_draws: Mutex<SplitMix64>,
-}
-
-impl TcpServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept thread. The returned server is live until [`shutdown`].
-    ///
-    /// [`shutdown`]: TcpServer::shutdown
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        dispatcher: Arc<dyn Dispatcher>,
-    ) -> std::io::Result<Arc<Self>> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let server = Arc::new(TcpServer {
-            local_addr,
-            dispatcher,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-            shutting_down: AtomicBool::new(false),
-            accept_thread: Mutex::new(None),
-            conns: Mutex::new(HashMap::new()),
-            handlers: Mutex::new(Vec::new()),
-            accepted: AtomicU64::new(0),
-            dispatched: AtomicU64::new(0),
-            dropped_mid_call: AtomicU64::new(0),
-            drop_permille: AtomicU64::new(0),
-            fault_draws: Mutex::new(SplitMix64::new(0)),
-        });
-        let for_accept = Arc::clone(&server);
-        let handle = std::thread::Builder::new()
-            .name(format!("cca-tcp-accept-{local_addr}"))
-            .spawn(move || for_accept.accept_loop(listener))?;
-        *server.accept_thread.lock().unwrap() = Some(handle);
-        Ok(server)
-    }
-
-    /// The bound address (with the real port when bound to port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Connections accepted over the server's lifetime.
-    pub fn connections_accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Requests dispatched *and replied to*.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
-    }
-
-    /// Connections deliberately hung up mid-call by the fault plan.
-    pub fn dropped_mid_call(&self) -> u64 {
-        self.dropped_mid_call.load(Ordering::Relaxed)
-    }
-
-    /// Arms (or, with `drop_permille == 0`, disarms) the hostile-network
-    /// fault plan: out of every 1000 requests (statistically),
-    /// `drop_permille` have their connection closed after the request is
-    /// read and before any reply is written. The schedule is a pure
-    /// function of `seed` — the same contract as
-    /// [`FaultTransport`](crate::resilient::FaultTransport), so the CI
-    /// fault matrix replays identically per `CCA_FAULT_SEED`.
-    pub fn set_fault_plan(&self, seed: u64, drop_permille: u64) {
-        *self.fault_draws.lock().unwrap() = SplitMix64::new(seed);
-        self.drop_permille.store(drop_permille, Ordering::SeqCst);
-    }
-
-    fn should_drop(&self) -> bool {
-        let permille = self.drop_permille.load(Ordering::SeqCst);
-        if permille == 0 {
-            return false;
-        }
-        self.fault_draws.lock().unwrap().next_below(1000) < permille
-    }
-
-    fn accept_loop(self: Arc<Self>, listener: TcpListener) {
-        for stream in listener.incoming() {
-            if self.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let _ = stream.set_nodelay(true);
-            let id = self.accepted.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Ok(clone) = stream.try_clone() {
-                self.conns.lock().unwrap().insert(id, clone);
-            }
-            let me = Arc::clone(&self);
-            match std::thread::Builder::new()
-                .name(format!("cca-tcp-conn-{id}"))
-                .spawn(move || me.handle_connection(id, stream))
-            {
-                Ok(h) => {
-                    let mut handlers = self.handlers.lock().unwrap();
-                    // Joining a thread that has finished does not block.
-                    for done in handlers.extract_if(.., |h| h.is_finished()) {
-                        let _ = done.join();
-                    }
-                    handlers.push(h);
-                }
-                Err(_) => {
-                    // Spawn failed: both handles drop and the peer sees EOF.
-                    self.conns.lock().unwrap().remove(&id);
-                }
-            }
-        }
-    }
-
-    fn handle_connection(&self, id: u64, mut stream: TcpStream) {
-        let _span = cca_obs::span("rpc.tcp.serve");
-        // The loop ends on a clean EOF at a frame boundary (`Ok(None)`) or
-        // on a framing violation / io error: either way this connection is
-        // done. Framing has no resync point, so violations cannot be
-        // skipped.
-        while let Ok(Some(frame)) = read_frame(&mut stream, self.max_payload) {
-            if frame.kind != FrameKind::Request {
-                break;
-            }
-            if self.should_drop() {
-                self.dropped_mid_call.fetch_add(1, Ordering::Relaxed);
-                cca_obs::trace_instant("rpc.tcp.injected_drop");
-                let _ = stream.shutdown(Shutdown::Both);
-                break;
-            }
-            // Dispatch errors here mean the *payload* was undecodable (the
-            // dispatcher marshals servant errors into replies) — a protocol
-            // violation, handled like a framing one: hang up.
-            let reply = {
-                // Adopt the caller's trace identity for the duration of the
-                // dispatch: the ORB's dispatch span parents to the client's
-                // call span across the wire.
-                let _ctx = cca_obs::install_context(frame.context);
-                match self.dispatcher.dispatch(frame.payload) {
-                    Ok(r) => r,
-                    Err(_) => break,
-                }
-            };
-            if write_frame(
-                &mut stream,
-                FrameKind::Reply,
-                frame.request_id,
-                reply.as_slice(),
-                self.max_payload,
-            )
-            .is_err()
-            {
-                break;
-            }
-            self.dispatched.fetch_add(1, Ordering::Relaxed);
-        }
-        // Close actively, and drop the clone registered for `shutdown`: the
-        // connection's fd is released now, not when the server shuts down.
-        let _ = stream.shutdown(Shutdown::Both);
-        self.conns.lock().unwrap().remove(&id);
-    }
-
-    /// Stops the server: closes every live connection, unblocks and joins
-    /// the accept thread and every handler thread. Returns the number of
-    /// handler threads joined (those of connections still open, plus any
-    /// that ended since the last accept). Idempotent — later calls
-    /// return 0.
-    pub fn shutdown(&self) -> usize {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return 0;
-        }
-        for (_, conn) in self.conns.lock().unwrap().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        // Wake the accept thread: it re-checks the flag after each accept.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.accept_thread.lock().unwrap().take() {
-            let _ = h.join();
-        }
-        // Connections registered between the drain above and the accept
-        // thread exiting are closed now that no new ones can appear.
-        for (_, conn) in self.conns.lock().unwrap().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        let handlers: Vec<_> = self.handlers.lock().unwrap().drain(..).collect();
-        let joined = handlers.len();
-        for h in handlers {
-            let _ = h.join();
-        }
-        joined
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -522,8 +293,12 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mux::MuxServer;
     use crate::orb::{ObjRef, Orb};
+    use crate::transport::Dispatcher;
     use cca_sidl::{DynObject, DynValue};
+    use std::net::TcpListener;
+    use std::sync::Arc;
 
     struct Doubler;
     impl DynObject for Doubler {
@@ -538,10 +313,10 @@ mod tests {
         }
     }
 
-    fn serve() -> (Arc<TcpServer>, Arc<Orb>) {
+    fn serve() -> (Arc<MuxServer>, Arc<Orb>) {
         let orb = Orb::new();
         orb.register("doubler", Arc::new(Doubler));
-        let server = TcpServer::bind("127.0.0.1:0", Arc::clone(&orb) as Arc<dyn Dispatcher>)
+        let server = MuxServer::bind("127.0.0.1:0", Arc::clone(&orb) as Arc<dyn Dispatcher>)
             .expect("bind ephemeral port");
         (server, orb)
     }
@@ -554,8 +329,8 @@ mod tests {
             .invoke("double", vec![DynValue::Double(21.0)])
             .unwrap();
         assert!(matches!(r, DynValue::Double(v) if v == 42.0));
-        // Shutdown joins the handler thread, making the counter final.
-        assert_eq!(server.shutdown(), 1);
+        // Shutdown joins the dispatch pool, making the counter final.
+        server.shutdown();
         assert_eq!(server.dispatched(), 1);
     }
 
@@ -633,7 +408,7 @@ mod tests {
                 Ok(request)
             }
         }
-        let server = TcpServer::bind("127.0.0.1:0", Arc::new(Wedged)).unwrap();
+        let server = MuxServer::bind("127.0.0.1:0", Arc::new(Wedged)).unwrap();
         let t = TcpTransport::new(server.local_addr().to_string())
             .with_io_timeout(Duration::from_millis(20));
         let e = t.call(Bytes::from_static(b"ping")).unwrap_err();
@@ -653,7 +428,9 @@ mod tests {
         objref
             .invoke("double", vec![DynValue::Double(1.0)])
             .unwrap();
-        assert_eq!(server.shutdown(), 1);
+        // accept + 4 default workers + the pooled connection's reader
+        // and writer.
+        assert_eq!(server.shutdown(), 7);
         assert_eq!(server.shutdown(), 0);
         // Calls after shutdown fail cleanly (dial refused or reset).
         assert!(objref

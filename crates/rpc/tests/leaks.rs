@@ -1,6 +1,8 @@
 //! Servers and transports give back every thread and file descriptor
-//! they take: after a drop or a `shutdown` returns, the process's
-//! `/proc/self/{task,fd}` counts are back at their baseline. A detached
+//! they take: after a drop returns, the threads it owned are gone from
+//! `/proc/self/task`, and once a server has noticed its peers' hangups
+//! (or its `shutdown` has returned) the process's `/proc/self/{task,fd}`
+//! counts are back at their baseline. A detached
 //! thread that outlives its owner can still run (and allocate) inside
 //! whatever the caller measures next, and a socket kept per finished
 //! connection runs a long-lived server out of descriptors.
@@ -11,7 +13,7 @@
 //! is read. Each check joins every thread it starts before it returns.
 
 use cca_rpc::transport::Dispatcher;
-use cca_rpc::{MuxServer, MuxTransport, ObjRef, Orb, TcpServer, Transport};
+use cca_rpc::{MuxServer, MuxTransport, ObjRef, Orb, Transport};
 use cca_sidl::{DynObject, DynValue, SidlError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,11 +70,37 @@ fn settles_to(baseline: Census) -> Census {
     }
 }
 
+/// Client-side mux threads that have not begun to exit. The transport
+/// names its threads `cca-mux-read-…`/`cca-mux-write-…` (the server's are
+/// `cca-mux-serve-…`/`cca-mux-reply-…`). A joined thread can still be
+/// listed in `/proc/self/task` for a moment after `join` returns, but it
+/// is flagged as exiting (`PF_EXITING` in the stat flags word) before its
+/// joiner wakes; a thread nobody joined is still blocked or running.
+fn live_mux_client_threads() -> usize {
+    const PF_EXITING: u64 = 0x4;
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs mounted")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("stat")).ok())
+        .filter(|stat| {
+            // `tid (comm) state ppid pgrp session tty tpgid flags …`
+            let Some((head, tail)) = stat.rsplit_once(')') else {
+                return false;
+            };
+            let name = head.split_once('(').map_or("", |(_, name)| name);
+            let flags: u64 = tail
+                .split_whitespace()
+                .nth(6)
+                .and_then(|flags| flags.parse().ok())
+                .unwrap_or(0);
+            (name.starts_with("cca-mux-read-") || name.starts_with("cca-mux-write-"))
+                && flags & PF_EXITING == 0
+        })
+        .count()
+}
+
 fn dropping_a_used_transport_joins_its_threads() {
     let server = MuxServer::bind("127.0.0.1:0", doubler_orb()).unwrap();
-    // The server's thread budget is fixed at bind time; only the client
-    // transport adds threads from here on.
-    let baseline = census().threads;
+    let baseline = census();
 
     for round in 0..20 {
         let transport =
@@ -83,66 +111,70 @@ fn dropping_a_used_transport_joins_its_threads() {
         }
         assert_eq!(
             census().threads,
-            baseline + 4,
-            "round {round}: two connections, a reader and a writer each"
+            baseline.threads + 8,
+            "round {round}: two connections, a reader and a writer each, on both sides"
         );
         drop(objref);
         drop(transport);
+        // Checked at once, not polled: a thread the drop did not join
+        // is still noticing its closed socket.
         assert_eq!(
-            census().threads,
-            baseline,
+            live_mux_client_threads(),
+            0,
             "round {round}: drop must join every reader and writer thread"
         );
+        // The server notices the hangups on its own threads.
+        assert_eq!(settles_to(baseline), baseline, "round {round}");
     }
     server.shutdown();
 }
 
-fn mux_server_shutdown_returns_to_baseline() {
+/// `shutdown` closes connections whose clients are still holding them
+/// and joins every thread: accept, dispatch workers, and a reader and a
+/// writer per connection.
+fn mux_server_shutdown_with_live_connections_returns_to_baseline() {
     let baseline = census();
     let server = MuxServer::bind("127.0.0.1:0", doubler_orb()).unwrap();
-    let objref = ObjRef::new(
+    let addr = server.local_addr().to_string();
+    let pooled = ObjRef::tcp("doubler", addr.clone());
+    let mux = ObjRef::new(
         "doubler",
-        Arc::new(MuxTransport::new(server.local_addr().to_string())) as Arc<dyn Transport>,
+        Arc::new(MuxTransport::new(addr).with_connections(2)) as Arc<dyn Transport>,
     );
     for k in 0..8 {
-        call_double(&objref, k);
+        call_double(&pooled, k);
+        call_double(&mux, k);
     }
-    drop(objref);
-    assert!(server.shutdown() > 0);
+    assert_eq!(server.connections_accepted(), 3);
+    assert_eq!(server.shutdown(), 1 + 4 + 2 * 3, "MuxServer::shutdown");
+    drop(pooled);
+    drop(mux);
     assert_eq!(settles_to(baseline), baseline, "MuxServer::shutdown");
 }
 
-fn tcp_server_shutdown_returns_to_baseline() {
-    let baseline = census();
-    let server = TcpServer::bind("127.0.0.1:0", doubler_orb()).unwrap();
-    let objref = ObjRef::tcp("doubler", server.local_addr().to_string());
-    for k in 0..8 {
-        call_double(&objref, k);
-    }
-    drop(objref);
-    server.shutdown();
-    assert_eq!(settles_to(baseline), baseline, "TcpServer::shutdown");
-}
-
-/// Sequential connections that come and go must not pile up server-side
-/// sockets or handler threads until the server shuts down.
-fn tcp_server_churn_releases_each_connection() {
-    let server = TcpServer::bind("127.0.0.1:0", doubler_orb()).unwrap();
+/// Sequential connections that come and go, pooled and multiplexed, must
+/// each give back their sockets and connection threads as they close,
+/// not when the server shuts down.
+fn mux_server_churn_releases_each_connection() {
+    let server = MuxServer::bind("127.0.0.1:0", doubler_orb()).unwrap();
+    let addr = server.local_addr().to_string();
     let baseline = census();
     for k in 0..50 {
-        let objref = ObjRef::tcp("doubler", server.local_addr().to_string());
-        call_double(&objref, k);
+        call_double(&ObjRef::tcp("doubler", addr.clone()), k);
+        assert_eq!(settles_to(baseline), baseline, "pooled connection {k}");
     }
-    assert_eq!(server.connections_accepted(), 50);
-    assert_eq!(
-        settles_to(baseline),
-        baseline,
-        "50 closed connections must leave no fd or thread behind"
-    );
+    for k in 0..50 {
+        let transport = MuxTransport::new(addr.clone()).with_connections(1);
+        call_double(&ObjRef::new("doubler", Arc::new(transport)), k);
+        assert_eq!(settles_to(baseline), baseline, "mux connection {k}");
+    }
+    assert_eq!(server.connections_accepted(), 100);
     let joined = server.shutdown();
     assert!(
-        joined <= 1,
-        "finished handlers are reaped as connections arrive; shutdown joined {joined}"
+        joined <= 1 + 4 + 2,
+        "finished readers are joined as connections arrive, so shutdown \
+         finds at most the last connection's two threads beside accept and \
+         4 workers; it joined {joined}"
     );
 }
 
@@ -158,9 +190,8 @@ fn main() {
     }
     let checks = checks![
         dropping_a_used_transport_joins_its_threads,
-        mux_server_shutdown_returns_to_baseline,
-        tcp_server_shutdown_returns_to_baseline,
-        tcp_server_churn_releases_each_connection,
+        mux_server_shutdown_with_live_connections_returns_to_baseline,
+        mux_server_churn_releases_each_connection,
     ];
     let mut failed = 0;
     for (name, check) in checks {

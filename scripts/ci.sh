@@ -105,58 +105,78 @@ fleet() {
 }
 
 bench_gate() {
+    # Every quick gate runs even if an earlier one fails, so one flaky
+    # gate cannot hide the verdict of the ones after it; the mode fails
+    # if any gate failed, and names them.
+    local failed=()
+    gate() {
+        local label="$1"
+        shift
+        echo "==> $label"
+        if ! "$@"; then
+            echo "!! $label FAILED"
+            failed+=("$label")
+        fi
+    }
+
     # Quick-mode observability gate: asserts instrumentation-off stays
     # ≤1.1x the pre-instrumentation call and counters-on ≤1.5x (see
     # EXPERIMENTS.md E10). The committed-artifact JSON check runs with the
     # test suite (crates/bench/tests/bench_json.rs).
-    echo "==> E10 observability overhead gate (quick mode)"
-    CCA_BENCH_FAST=1 BENCH_OBS_OUT="$(pwd)/BENCH_obs.ci.json" \
+    gate "E10 observability overhead gate (quick mode)" \
+        env CCA_BENCH_FAST=1 BENCH_OBS_OUT="$(pwd)/BENCH_obs.ci.json" \
         cargo bench --offline -p cca-bench --bench e10_obs_overhead
 
     # Quick-mode resilience gate: a closed circuit breaker on the
     # CachedPort fast path stays ≤1.1x the PR-1 cached call (E11).
-    echo "==> E11 resilience overhead gate (quick mode)"
-    CCA_BENCH_FAST=1 BENCH_RESILIENCE_OUT="$(pwd)/BENCH_resilience.ci.json" \
+    gate "E11 resilience overhead gate (quick mode)" \
+        env CCA_BENCH_FAST=1 BENCH_RESILIENCE_OUT="$(pwd)/BENCH_resilience.ci.json" \
         cargo bench --offline -p cca-bench --bench e11_resilience
 
     # Quick-mode mux gate: 1,000 logical clients share ≤8 sockets and the
-    # multiplexed transport outruns the thread-per-connection pool (E13).
+    # multiplexed transport outruns the thread-per-caller pool (E13).
     # Writes a throwaway artifact so the committed BENCH_rpc.json (full-run
     # numbers) is never clobbered by a fast-mode run.
-    echo "==> E13 mux throughput gate (quick mode)"
-    CCA_BENCH_FAST=1 BENCH_RPC_OUT="$(pwd)/BENCH_rpc.ci.json" \
+    gate "E13 mux throughput gate (quick mode)" \
+        env CCA_BENCH_FAST=1 BENCH_RPC_OUT="$(pwd)/BENCH_rpc.ci.json" \
         cargo bench --offline -p cca-bench --bench e13_mux_throughput
 
     # Quick-mode wire-tracing gate: the tracing-off v2 frame encode stays
     # ≤1.1x the PR-6 codec and tracing-on remote calls stay ≤1.5x
     # tracing-off (E14). Reuses the E10 throwaway artifact so the merge
     # path gets exercised too.
-    echo "==> E14 wire tracing gate (quick mode)"
-    CCA_BENCH_FAST=1 BENCH_OBS_OUT="$(pwd)/BENCH_obs.ci.json" \
+    gate "E14 wire tracing gate (quick mode)" \
+        env CCA_BENCH_FAST=1 BENCH_OBS_OUT="$(pwd)/BENCH_obs.ci.json" \
         cargo bench --offline -p cca-bench --bench e14_wire_trace
 
     # Quick-mode bulk-data-plane gate: raw slabs beat the generic value
     # encoding at small payloads and sender memory stays window-bounded
     # (E15). Full-mode sweeps and the headline ratio run via bench.sh.
-    echo "==> E15 bulk data plane gate (quick mode)"
-    CCA_BENCH_FAST=1 BENCH_DATA_OUT="$(pwd)/BENCH_data.ci.json" \
+    gate "E15 bulk data plane gate (quick mode)" \
+        env CCA_BENCH_FAST=1 BENCH_DATA_OUT="$(pwd)/BENCH_data.ci.json" \
         cargo bench --offline -p cca-bench --bench e15_bulk_data
 
     # Quick-mode fleet gate: the hub-routed wire allreduce stays well under
     # a hydro timestep and restart-to-rejoin beats the survivors' park
     # deadline (E16). Full-run numbers live in the committed
     # BENCH_fleet.json via bench.sh.
-    echo "==> E16 worker fleet gate (quick mode)"
-    CCA_BENCH_FAST=1 BENCH_FLEET_OUT="$(pwd)/BENCH_fleet.ci.json" \
+    gate "E16 worker fleet gate (quick mode)" \
+        env CCA_BENCH_FAST=1 BENCH_FLEET_OUT="$(pwd)/BENCH_fleet.ci.json" \
         cargo bench --offline -p cca-bench --bench e16_fleet
 
     # Quick-mode repository gate: 100k-type catalog, exact lookup p50
     # under 5us, trigram fuzzy p50 under 5ms, and concurrent readers
     # don't collapse (E17). The committed BENCH_repo.json carries the
     # full 1M-type numbers via bench.sh.
-    echo "==> E17 repository scale gate (quick mode)"
-    CCA_BENCH_FAST=1 BENCH_REPO_OUT="$(pwd)/BENCH_repo.ci.json" \
+    gate "E17 repository scale gate (quick mode)" \
+        env CCA_BENCH_FAST=1 BENCH_REPO_OUT="$(pwd)/BENCH_repo.ci.json" \
         cargo bench --offline -p cca-bench --bench e17_repository
+
+    if [ "${#failed[@]}" -gt 0 ]; then
+        echo "bench-gate: ${#failed[@]} of 7 quick gates failed:" >&2
+        printf '  %s\n' "${failed[@]}" >&2
+        return 1
+    fi
 }
 
 case "$MODE" in

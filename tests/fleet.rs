@@ -12,7 +12,9 @@
 //!    as an unkilled in-process `spmd` baseline. Seed comes from
 //!    `CCA_FAULT_SEED` (the CI fleet-matrix lane crosses 1/7/42/1999).
 //! 2. **shutdown-no-zombies** — mid-run shutdown kills and reaps every
-//!    child, collecting a waitpid status for each.
+//!    child, collecting a waitpid status for each, and leaves this
+//!    process with the threads and file descriptors it had before the
+//!    supervisor started.
 //! 3. **zero-leak** — after everything, no process on the box still
 //!    carries `CCA_FLEET_RANK` in its environment.
 
@@ -280,7 +282,14 @@ fn scenario_kill_matrix(seed: u64) {
     sup.shutdown();
 }
 
+/// Live threads and open file descriptors of this process.
+fn census() -> (usize, usize) {
+    let count = |dir| std::fs::read_dir(dir).expect("procfs mounted").count();
+    (count("/proc/self/task"), count("/proc/self/fd"))
+}
+
 fn scenario_shutdown_no_zombies() {
+    let baseline = census();
     let launcher: Arc<dyn RankLauncher> = Arc::new(
         ExecLauncher::current_exe()
             .expect("resolve current test binary")
@@ -303,6 +312,13 @@ fn scenario_shutdown_no_zombies() {
             "rank {rank}: sleep children die by SIGKILL only"
         );
     }
+    // `shutdown` joined the monitor and every hub-server thread, the
+    // killed ranks' connection threads included, and closed their sockets.
+    assert_eq!(
+        census(),
+        baseline,
+        "(threads, fds) after supervisor shutdown vs before it started"
+    );
 }
 
 /// Scans /proc for any process (other than us) still carrying

@@ -5,9 +5,10 @@
 //! pooled transport, and the seed-deterministic remote fault matrix the
 //! CI `fault-matrix` job replays across seeds {1, 7, 42, 1999}.
 //!
-//! The same battery then runs against the *multiplexed* stack
-//! (`MuxServer`/`MuxTransport`): same `Dispatcher`, same servants, same
-//! breaker timing on the mock clock — plus mux-specific coverage
+//! Every test dials the same server, `MuxServer`. The battery runs once
+//! through the pooled `TcpTransport` and again through the multiplexed
+//! `MuxTransport`: same `Dispatcher`, same servants, same breaker timing
+//! on the mock clock — plus mux-specific coverage
 //! (out-of-order completions through one socket, a killed connection
 //! fanning its error to every in-flight call).
 
@@ -19,9 +20,7 @@ use cca::core::{CcaError, CcaServices, Component, ConfigEvent, GoPort, PortHandl
 use cca::framework::{Framework, RemoteTransportKind};
 use cca::repository::Repository;
 use cca::rpc::transport::Dispatcher;
-use cca::rpc::{
-    MuxServer, MuxTransport, ObjRef, Orb, TcpServer, TcpTransport, CONNECTION_EXCEPTION_TYPE,
-};
+use cca::rpc::{MuxServer, MuxTransport, ObjRef, Orb, TcpTransport, CONNECTION_EXCEPTION_TYPE};
 use cca::sidl::{DynObject, DynValue, SidlError};
 use cca_data::TypeMap;
 use parking_lot::Mutex;
@@ -87,7 +86,7 @@ impl Component for RemoteConsumer {
 
 /// Server-side framework hosting one exported Doubler, already on the
 /// network. Returns (framework, server, addr, remote key).
-fn serve_doubler() -> (Arc<Framework>, Arc<TcpServer>, String, String) {
+fn serve_doubler() -> (Arc<Framework>, Arc<MuxServer>, String, String) {
     let fw = Framework::new(Repository::new());
     fw.add_instance("provider0", Arc::new(DoublerProvider))
         .unwrap();
@@ -261,7 +260,7 @@ fn figure2_pipeline_runs_over_tcp() {
     client_fw.run_go("pump0", "go").unwrap();
 
     // 1+2+...+10 = 55, computed across 20 real round trips. Shut down
-    // first: that joins the handler threads, so the dispatch counter is
+    // first: that joins the dispatch workers, so the dispatch counter is
     // final when read.
     assert_eq!(*pump.last_total.lock(), 55.0);
     server.shutdown();
@@ -374,7 +373,7 @@ fn mid_call_hangups_quarantine_the_remote_provider_until_the_probe_heals() {
 /// 16 client threads share one pooled `TcpTransport` (4 connections) into
 /// one server. Replies are arg-dependent, so a lost, duplicated, or
 /// crossed request id shows up as a wrong value or a correlation error.
-/// Shutdown joins every handler thread the server ever spawned.
+/// Shutdown joins every thread the server ever spawned.
 #[test]
 fn sixteen_threads_share_one_pooled_connection_without_crossing_replies() {
     const THREADS: u64 = 16;
@@ -387,7 +386,7 @@ fn sixteen_threads_share_one_pooled_connection_without_crossing_replies() {
             calls: AtomicU64::new(0),
         }),
     );
-    let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
+    let server = MuxServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
     let transport = Arc::new(TcpTransport::new(server.local_addr().to_string()));
     assert_eq!(transport.pool_size(), 4);
     let objref = ObjRef::new(
@@ -420,13 +419,14 @@ fn sixteen_threads_share_one_pooled_connection_without_crossing_replies() {
         transport.metrics().dials()
     );
 
-    // Clean shutdown: every handler thread the server spawned is joined —
-    // one per accepted connection — and a second shutdown is a no-op.
+    // Clean shutdown: every thread the server spawned is joined — the
+    // accept thread, 4 dispatch workers, and a reader and a writer per
+    // accepted connection — and a second shutdown is a no-op.
     let joined = server.shutdown();
-    assert_eq!(joined as u64, server.connections_accepted());
+    assert_eq!(joined as u64, 1 + 4 + 2 * server.connections_accepted());
     assert_eq!(server.shutdown(), 0);
 
-    // With the handlers joined the dispatch counter is final: the server
+    // With the dispatch pool joined the counter is final: the server
     // replied exactly once per call — nothing lost, nothing duplicated.
     assert_eq!(server.dispatched(), THREADS * CALLS_PER_THREAD);
 }
@@ -451,7 +451,7 @@ fn remote_fault_scenario_is_deterministic_per_seed() {
                 calls: AtomicU64::new(0),
             }),
         );
-        let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
+        let server = MuxServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
         server.set_fault_plan(seed, 300);
         // Pool of 1: a single-threaded client serializes requests, so the
         // server consumes its fault draws in a deterministic order.
@@ -506,7 +506,7 @@ fn garbage_and_oversized_frames_only_kill_their_own_connection() {
             calls: AtomicU64::new(0),
         }),
     );
-    let server = TcpServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
+    let server = MuxServer::bind("127.0.0.1:0", orb as Arc<dyn Dispatcher>).unwrap();
     let addr = server.local_addr();
 
     // A peer speaking nonsense (at least one full header's worth, so the
@@ -543,20 +543,7 @@ fn garbage_and_oversized_frames_only_kill_their_own_connection() {
 // The same battery against the multiplexed stack.
 // ---------------------------------------------------------------------
 
-/// Server-side framework hosting one exported Doubler behind a
-/// `MuxServer`. Returns (framework, server, addr, remote key).
-fn serve_doubler_mux() -> (Arc<Framework>, Arc<MuxServer>, String, String) {
-    let fw = Framework::new(Repository::new());
-    fw.add_instance("provider0", Arc::new(DoublerProvider))
-        .unwrap();
-    let key = fw.export_port("provider0", "out").unwrap();
-    let server = fw.serve_tcp_mux("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().to_string();
-    (fw, server, addr, key)
-}
-
-/// Figure 2 with the remote providers served by the event-driven
-/// `MuxServer` and reached through `RemoteTransportKind::Mux`: the pump,
+/// Figure 2 with the remote providers reached through `RemoteTransportKind::Mux`: the pump,
 /// the servants, and the arithmetic are identical to the pooled run —
 /// the Dispatcher seam means nothing above the transport can tell.
 #[test]
@@ -580,7 +567,7 @@ fn figure2_pipeline_runs_over_mux() {
         .unwrap();
     let source_key = server_fw.export_port("source0", "out").unwrap();
     let sink_key = server_fw.export_port("sink0", "in").unwrap();
-    let server = server_fw.serve_tcp_mux("127.0.0.1:0").unwrap();
+    let server = server_fw.serve_tcp("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
     let client_fw = Framework::new(Repository::new());
@@ -627,7 +614,7 @@ fn figure2_pipeline_runs_over_mux() {
 /// mock clock.
 #[test]
 fn mid_call_hangups_quarantine_the_mux_provider_until_the_probe_heals() {
-    let (_server_fw, server, addr, key) = serve_doubler_mux();
+    let (_server_fw, server, addr, key) = serve_doubler();
     let seed = fault_seed_from_env();
 
     let client_fw = Framework::new(Repository::new());
@@ -662,7 +649,7 @@ fn mid_call_hangups_quarantine_the_mux_provider_until_the_probe_heals() {
 
     assert!(matches!(port.call(call).unwrap(), DynValue::Long(42)));
 
-    // Hostile phase: the event loop hangs up on every decoded request.
+    // Hostile phase: the server hangs up on every decoded request.
     server.set_fault_plan(seed, 1000);
     for _ in 0..2 {
         let err = port.call(call).unwrap_err();
@@ -783,7 +770,7 @@ fn out_of_order_completions_route_to_their_own_callers_over_one_socket() {
 /// A killed mux connection fails *every* call in flight on it with the
 /// typed `ConnectionFailure` — the error the breaker counts. Five calls
 /// are parked server-side (staggered sleeps), then a sixth request trips
-/// the armed fault plan and the event loop hangs up the connection.
+/// the armed fault plan and the server hangs up the connection.
 #[test]
 fn killed_mux_connection_fails_all_in_flight_calls_with_typed_errors() {
     let orb = Orb::new();
@@ -842,7 +829,7 @@ fn killed_mux_connection_fails_all_in_flight_calls_with_typed_errors() {
 }
 
 /// The CI fault matrix against the mux stack: with one connection and a
-/// serialized caller, the event loop consumes fault draws in request
+/// serialized caller, the server consumes fault draws in request
 /// order, so the outcome vector is a pure function of the seed — same
 /// contract as the pooled transport.
 #[test]
@@ -893,8 +880,8 @@ fn mux_fault_scenario_is_deterministic_per_seed() {
     );
 }
 
-/// Garbage and oversized frames against the event-driven server: the
-/// offending connection is closed from the header alone, and a
+/// Garbage and oversized frames, with a multiplexed client beside them:
+/// the offending connection is closed from the header alone, and a
 /// well-formed client on another connection never notices.
 #[test]
 fn garbage_and_oversized_frames_only_kill_their_own_mux_connection() {

@@ -361,7 +361,7 @@ fn discovery_port_over_mux_survives_the_fault_matrix() {
         .unwrap();
     let server_fw = Framework::new(repo);
     server_fw.install_discovery().unwrap();
-    let server = server_fw.serve_tcp_mux("127.0.0.1:0").unwrap();
+    let server = server_fw.serve_tcp("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
     // Frameworkless scrape first: a plain transport + ObjRef, the way a

@@ -159,7 +159,7 @@ fn serve_doubler_mux() -> (Arc<Framework>, Arc<MuxServer>, String, String) {
     fw.add_instance("provider0", Arc::new(DoublerProvider))
         .unwrap();
     let key = fw.export_port("provider0", "out").unwrap();
-    let server = fw.serve_tcp_mux("127.0.0.1:0").unwrap();
+    let server = fw.serve_tcp("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
     (fw, server, addr, key)
 }
@@ -197,7 +197,7 @@ fn figure2_dispatch_spans_parent_to_client_calls_across_the_wire() {
         .unwrap();
     let source_key = server_fw.export_port("source0", "out").unwrap();
     let sink_key = server_fw.export_port("sink0", "in").unwrap();
-    let server = server_fw.serve_tcp_mux("127.0.0.1:0").unwrap();
+    let server = server_fw.serve_tcp("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
     let client_fw = Framework::new(Repository::new());
@@ -431,7 +431,7 @@ fn monitor_port_scrapes_over_mux() {
         .connect("consumer0", "in", "provider0", "out")
         .unwrap();
     server_fw.install_monitor().unwrap();
-    let server = server_fw.serve_tcp_mux("127.0.0.1:0").unwrap();
+    let server = server_fw.serve_tcp("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
     // Counted in-process traffic for the remote `callCount` to observe.
